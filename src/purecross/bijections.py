@@ -262,8 +262,8 @@ class WeightAssignment:
             for pi, value in entries:
                 if not isinstance(pi, Partition) or not pi.is_purely_crossing():
                     raise ValueError(f"{pi} is not a purely crossing partition")
-                if isinstance(value, float):
-                    raise TypeError("float weights are not allowed; use Fraction or str")
+                if isinstance(value, (float, bool)):
+                    raise TypeError("float and bool weights are not allowed; use Fraction or str")
                 table[pi] = Fraction(value)
         self._weights = table
 
@@ -295,9 +295,9 @@ class WeightAssignment:
                 raise ValueError(
                     f"weight entry needs 'partition' and 'weight': {item!r}"
                 ) from exc
-            if isinstance(value, float):
+            if isinstance(value, (float, bool)):
                 raise ValueError(
-                    f"weight {value!r} is a float; write it as a fraction string"
+                    f"weight {value!r} is a {type(value).__name__}; write it as a fraction string"
                 )
             entries.append((Partition.parse(text), Fraction(value)))
         return cls(entries)

@@ -3,13 +3,14 @@
 Subcommands: classify, enumerate, count, table, series, verify.  Output
 is deterministic: identical arguments and seed give byte-identical
 stdout.  Exit codes: 0 success, 1 verification or consistency failure,
-2 usage or input errors.
+2 usage or input errors, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early, as in ``purecross enumerate --n 9 | head -1``.
 """
 
 import argparse
 import json
+import os
 import sys
-from fractions import Fraction
 
 from .bijections import WeightAssignment
 from .enumeration import PartitionClass, count, iterate
@@ -67,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weights",
         metavar="FILE",
-        help="JSON weight assignment; switches to the weighted forward "
-        "pipeline (degree-by-degree enumeration, keep the order small)",
+        help="JSON weight assignment on purely crossing partitions "
+        "(unassigned ones weigh 1)",
     )
     p.add_argument("--format", choices=["plain", "tsv", "json"], default="plain")
 
@@ -152,17 +153,11 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _weighted_a_series(w: WeightAssignment, order: int) -> Series:
-    coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
-        coeffs.append(sum((w[pi] for pi in iterate(n, PartitionClass.PURELY_CROSSING)), Fraction(0)))
-    return Series(coeffs, order=order)
-
-
 def _cmd_series(args) -> int:
     if args.order < 1:
         return _fail("--order must be at least 1")
     order = args.order
+    w = WeightAssignment()
     if args.weights is not None:
         try:
             with open(args.weights, encoding="utf-8") as handle:
@@ -172,18 +167,15 @@ def _cmd_series(args) -> int:
             return _fail(f"cannot read weights file: {exc}")
         except (ValueError, PartitionError) as exc:
             return _fail(f"bad weights file: {exc}")
-        a = _weighted_a_series(w, order)
-        b, c, d = forward_weighted(a)
-        chosen = {"A": a, "B": b, "C": c, "D": d}[args.which]
-    else:
-        d = bell_series(order + 1)
-        c = derive_c_from_d(d)
-        chosen = {
-            "A": lambda: derive_a_from_b(derive_b_from_c(c)),
-            "B": lambda: derive_b_from_c(c),
-            "C": lambda: c,
-            "D": lambda: d.truncate(order),
-        }[args.which]()
+    # A holds |PC_n|; an assigned weight replaces its partition's default 1.
+    a = derive_a_from_b(derive_b_from_c(derive_c_from_d(bell_series(order + 1))))
+    coeffs = list(a.coeffs)
+    for pi, weight in w.items():
+        if pi.n <= order:
+            coeffs[pi.n] += weight - 1
+    a = Series(coeffs, order=order)
+    b, c, d = forward_weighted(a)
+    chosen = {"A": a, "B": b, "C": c, "D": d}[args.which]
     if args.format == "json":
         print(json.dumps([str(v) for v in chosen.coeffs]))
     elif args.format == "tsv":
@@ -231,7 +223,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Quiet the flush at exit (SIGPIPE note, ``signal`` docs); 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ def _canonical_blocks(n: int, raw_blocks) -> tuple[tuple[tuple[int, ...], ...], 
         raise PartitionError(f"ground set size {n!r} is not an integer")
     if n < 0:
         raise PartitionError(f"ground set size {n} is negative")
-    seen = [False] * (n + 1)
+    seen = set()  # not a flag per atom: memory stays bounded by the input
     cleaned = []
     for block in raw_blocks:
         atoms = list(block)
@@ -58,12 +58,12 @@ def _canonical_blocks(n: int, raw_blocks) -> tuple[tuple[tuple[int, ...], ...], 
                 raise PartitionError(f"atom {a!r} is not an integer")
             if a < 1 or a > n:
                 raise PartitionError(f"atom {a} out of range 1..{n}")
-            if seen[a]:
+            if a in seen:
                 raise PartitionError(f"atom {a} appears in more than one block")
-            seen[a] = True
+            seen.add(a)
         cleaned.append(tuple(sorted(atoms)))
     for a in range(1, n + 1):
-        if not seen[a]:
+        if a not in seen:
             raise PartitionError(f"atom {a} uncovered")
     cleaned.sort()
     index = {}

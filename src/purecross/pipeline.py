@@ -5,18 +5,19 @@ crossing, no-neighbor connected, connected, and arbitrary families, the
 decompositions in :mod:`purecross.bijections` force
 
 * ``B = x + (1 + x) * A``        (adjoin-last-atom split),
-* ``C = B(x / (1 - x))``        (run inflation),
-* ``D = 1 + C(x * D)``          (gap decomposition).
+* ``C = B(x / (1 - x))``        (run inflation; a binomial transform, O(m^2)),
+* ``D = 1 + C(x * D)``          (gap decomposition; Lagrange inversion, O(m^3)).
 
 The forward direction turns a weight series A into B, C, D.  The
 backward direction starts from the Bell-number series D of unweighted
 counts and recovers C, B, A exactly; :func:`counts_table` tabulates the
 four integer columns that fall out and can cross-check them against
-brute-force enumeration.
+brute-force enumeration.  At order m every step is a closed form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .bijections import (
     WeightAssignment,
@@ -46,9 +47,13 @@ def bell_series(order: int) -> Series:
     return Series(bells, order=order)
 
 
-def _geometric(order: int, sign: int) -> Series:
-    # x/(1-x) for sign +1, x/(1+x) for sign -1.
-    return Series([0] + [sign**k for k in range(order)], order=order)
+def _binomial(s: Series, sign: int) -> Series:
+    """s(x / (1 - sign x)): [x^n] = sum_k C(n-1, k-1) sign^(n-k) s_k, n >= 1."""
+    c = s.coeffs
+    out = [c[0]]
+    for n in range(1, s.order + 1):
+        out.append(sum(comb(n - 1, k - 1) * sign ** (n - k) * c[k] for k in range(1, n + 1)))
+    return Series(out, order=s.order)
 
 
 def derive_c_from_d(d: Series) -> Series:
@@ -67,7 +72,7 @@ def derive_b_from_c(c: Series) -> Series:
     """Invert the inflation relation: B = C(x / (1 + x))."""
     if c[0] != 0:
         raise ValueError("constant term must be 0")
-    return c.compose(_geometric(c.order, -1))
+    return _binomial(c, -1)
 
 
 def derive_a_from_b(b: Series) -> Series:
@@ -88,7 +93,7 @@ def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
     if order < 1:
         raise ValueError("need order >= 1")
     b = Series.x(order) + Series([1, 1], order=order) * a
-    c = b.compose(_geometric(order, 1))
+    c = _binomial(b, 1)
     d = solve_fixpoint(c)
     return b, c, d
 

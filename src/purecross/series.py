@@ -1,9 +1,9 @@
 """Truncated formal power series with exact rational coefficients.
 
 A :class:`Series` holds coefficients c0 .. c_order as ``Fraction``s; no
-floating point is accepted anywhere.  Binary operations truncate to the
-smaller operand order and record it on the result; nothing ever extends
-an order silently (``pad`` exists for the rare explicit case).
+floating point or bool is accepted anywhere.  Binary operations
+truncate to the smaller operand order and record it on the result;
+nothing ever extends an order.
 
 >>> f = Series.x(5) + Series([0, 0, 1], order=5)
 >>> f.reversion().coeffs
@@ -17,8 +17,8 @@ _ONE = Fraction(1)
 
 
 def _to_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction or str")
+    if isinstance(value, (float, bool)):
+        raise TypeError("float and bool coefficients are not allowed; use Fraction or str")
     return Fraction(value)
 
 
@@ -68,9 +68,6 @@ class Series:
     def __repr__(self) -> str:
         return f"Series({[str(c) for c in self.coeffs]}, order={self.order})"
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Series":
@@ -117,12 +114,6 @@ class Series:
         if order > self.order:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
         return Series(self.coeffs[: order + 1], order=order)
-
-    def pad(self, order: int) -> "Series":
-        """Explicitly extend with zero coefficients up to ``order``."""
-        if order < self.order:
-            raise ValueError(f"cannot pad order {self.order} down to {order}")
-        return Series(self.coeffs, order=order)
 
     def shift_up(self) -> "Series":
         """Multiply by x at fixed order; the top input coefficient falls off."""
@@ -178,43 +169,46 @@ class Series:
         """Compositional inverse g with self(g) = g(self) = x.
 
         Requires a zero constant term and a nonzero linear coefficient.
-        Newton iteration doubles the number of correct coefficients per
-        round, so the loop is logarithmic in the order.
+        Since g = x * phi(g) with phi = x / self, Lagrange inversion gives
+        g_n = [t^(n-1)] phi^n / n in one pass of O(order^3) operations.
         """
         c = self.coeffs
         if c[0] != 0:
             raise ValueError("reversion needs a zero constant term")
         if self.order < 1 or c[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
-        order = self.order
-        x = Series.x(order)
-        df = self.derivative().pad(order)
-        g = Series([0, _ONE / c[1]], order=order)
-        for _ in range(order.bit_length() + 2):
-            error = self.compose(g) - x
-            if error.is_zero():
-                return g
-            g = g - error * df.compose(g).inverse()
-        raise RuntimeError("reversion failed to stabilize")  # pragma: no cover
+        phi = self.shift_down().inverse()
+        return Series([_ZERO] + _lagrange(phi, self.order), order=self.order)
+
+
+def _lagrange(phi: Series, count: int) -> list:
+    """G_1 .. G_count of G = x * phi(G), by Lagrange inversion
+    G_n = [t^(n-1)] phi^n / n.  Each p = phi^n comes from J.C.P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7), p_0 = phi_0^n and
+    p_k = sum_{j=1..k} ((n + 1) j - k) phi_j p_{k-j} / (k phi_0): O(count^3)
+    in all.  ``phi`` needs phi_0 != 0 and terms through t^(count - 1)."""
+    f = phi.coeffs
+    out = []
+    for n in range(1, count + 1):
+        p = [f[0] ** n]
+        for k in range(1, n):
+            acc = sum(((n + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1))
+            p.append(acc / (k * f[0]))
+        out.append(p[n - 1] / n)
+    return out
 
 
 def solve_fixpoint(c: Series) -> Series:
     """The unique series d with constant term 1 and d = 1 + c(x * d).
 
-    Iterating d -> 1 + c(x * d) from d = 1 gains at least one correct
-    coefficient per pass, so at most order + 1 passes are needed.
+    F = x * d solves F = x * (1 + c(F)), the free moment-cumulant relation,
+    so d_k = F_{k+1} = [t^k] (1 + c)^(k+1) / (k + 1): O(order^3).
     """
     if not isinstance(c, Series):
         raise TypeError("solve_fixpoint expects a Series")
     if c.coeffs[0] != 0:
         raise ValueError("the composed series must have zero constant term")
-    d = Series.one(c.order)
-    for _ in range(c.order + 2):
-        nxt = c.compose(d.shift_up()) + 1
-        if nxt == d:
-            return d
-        d = nxt
-    raise RuntimeError("fixpoint iteration failed to stabilize")  # pragma: no cover
+    return Series(_lagrange(c + 1, c.order + 1), order=c.order)
 
 
 def render_text(f: Series) -> str:

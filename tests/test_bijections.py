@@ -285,6 +285,10 @@ class TestWeights:
             WeightAssignment({Partition.whole(2): Fraction(1)})
         with pytest.raises(TypeError):
             WeightAssignment({Partition.parse("1,3|2,4"): 0.5})
+        with pytest.raises(TypeError):
+            WeightAssignment({Partition.parse("1,3|2,4"): True})
+        with pytest.raises(ValueError):
+            WeightAssignment.from_json([{"partition": "1,3|2,4", "weight": True}])
 
     def test_accepts_strings_and_integers(self):
         pi = Partition.parse("1,3|2,4")

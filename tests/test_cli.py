@@ -1,13 +1,19 @@
 """Command line interface: output shapes, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from purecross import Partition, WeightAssignment, weighted_brute_coeffs
+from purecross import (
+    PartitionClass,
+    WeightAssignment,
+    iterate,
+    weighted_brute_coeffs,
+)
 from purecross.cli import run
 
 from oracles import PUBLISHED_COUNTS
@@ -149,21 +155,44 @@ class TestSeries:
         assert json.loads(out) == ["1", "1", "2", "5", "15", "52", "203"]
 
     def test_weighted(self, capsys, tmp_path):
-        w = WeightAssignment({Partition.parse("1,3|2,4"): Fraction(7, 2)})
+        rnd = random.Random(11)
+        w = WeightAssignment(
+            {
+                pi: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
+                for n in (4, 6, 8)
+                for pi in iterate(n, PartitionClass.PURELY_CROSSING)
+            }
+        )
         path = tmp_path / "weights.json"
         path.write_text(json.dumps(w.to_json()), encoding="utf-8")
-        code, out, _ = invoke(
-            capsys,
-            "series",
-            "--which", "D",
-            "--order", "6",
-            "--weights", str(path),
-            "--format", "tsv",
-        )
-        assert code == 0
-        rows = dict(line.split("\t") for line in out.splitlines())
-        for n in range(1, 7):
-            assert rows[str(n)] == str(weighted_brute_coeffs(n, w)[3])
+        brute = {n: weighted_brute_coeffs(n, w) for n in range(1, 10)}
+        # At order 6 the weights on size 8 lie beyond the order.
+        for order in (6, 9):
+            for col, which in enumerate("ABCD"):
+                code, out, _ = invoke(
+                    capsys,
+                    "series",
+                    "--which", which,
+                    "--order", str(order),
+                    "--weights", str(path),
+                    "--format", "tsv",
+                )
+                assert code == 0
+                rows = dict(line.split("\t") for line in out.splitlines())
+                assert len(rows) == order + 1
+                for n in range(1, order + 1):
+                    assert rows[str(n)] == str(brute[n][col]), (which, order, n)
+
+    def test_empty_weights_match_unweighted(self, capsys, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text("[]", encoding="utf-8")
+        for which in "ABCD":
+            plain = invoke(capsys, "series", "--which", which, "--order", "20")
+            weighted = invoke(
+                capsys, "series", "--which", which, "--order", "20", "--weights", str(path)
+            )
+            assert plain[0] == 0
+            assert weighted == plain
 
     def test_missing_weights_file(self, capsys, tmp_path):
         code, _, err = invoke(
@@ -173,11 +202,14 @@ class TestSeries:
 
     def test_float_weights_rejected(self, capsys, tmp_path):
         path = tmp_path / "weights.json"
-        path.write_text('[{"partition": "1,3|2,4", "weight": 0.5}]', encoding="utf-8")
-        code, _, err = invoke(
-            capsys, "series", "--which", "A", "--order", "4", "--weights", str(path)
-        )
-        assert code == 2 and "float" in err
+        for value, kind in (("0.5", "float"), ("true", "bool")):
+            path.write_text(
+                f'[{{"partition": "1,3|2,4", "weight": {value}}}]', encoding="utf-8"
+            )
+            code, _, err = invoke(
+                capsys, "series", "--which", "A", "--order", "4", "--weights", str(path)
+            )
+            assert code == 2 and "bad weights file" in err and kind in err
 
     def test_bad_order(self, capsys):
         assert invoke(capsys, "series", "--which", "A", "--order", "0")[0] == 2
@@ -238,3 +270,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "purecross.cli", "enumerate", "--n", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141
+    assert b"Traceback" not in err

@@ -1,6 +1,7 @@
 """Partition construction, canonical forms, predicates, and the cover."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -104,6 +105,20 @@ class TestTextForms:
             Partition.parse("1,2|")
         with pytest.raises(PartitionError, match="uncovered"):
             Partition.parse("1,3")
+
+    def test_huge_atom_fails_in_bounded_memory(self):
+        for build in (
+            lambda: Partition.parse("10000000"),
+            lambda: Partition.from_json({"n": 10**7, "blocks": [[1]]}),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(PartitionError, match="uncovered"):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_repr_round_trips(self):
         pi = Partition(5, [[1, 4], [2, 3], [5]])

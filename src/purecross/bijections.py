@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .partition import Partition
+from .partition import Partition, _rgs_cover
 
 _ONE = Fraction(1)
 
@@ -287,6 +287,8 @@ class WeightAssignment:
 
     @classmethod
     def from_json(cls, data) -> "WeightAssignment":
+        if not isinstance(data, list):
+            raise ValueError(f"weights must be a list of entries, not {type(data).__name__}")
         entries = []
         for item in data:
             try:
@@ -295,7 +297,9 @@ class WeightAssignment:
                 raise ValueError(
                     f"weight entry needs 'partition' and 'weight': {item!r}"
                 ) from exc
-            if isinstance(value, (float, bool)):
+            if not isinstance(text, str):
+                raise ValueError(f"partition {text!r} is not a string")
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ValueError(
                     f"weight {value!r} is a {type(value).__name__}; write it as a fraction string"
                 )
@@ -320,12 +324,37 @@ def _connected_weight_key(pi):
     return _pc_plus_weight_key(base)
 
 
+def _rgs_weight_keys(rgs, cover) -> tuple[tuple[int, ...], ...]:
+    """The purely crossing keys whose weights multiply to the weight of
+    the partition with restricted-growth string ``rgs``, sorted, each as
+    an rgs tuple; ``cover`` is the rgs of its noncrossing cover.
+
+    Per cover block this is :func:`cover_decompose`, :func:`contract` and
+    :func:`pc_plus_decompose` read off the rgs: restrict to the block,
+    collapse runs of one block, relabel, and drop a last atom that shares
+    atom 1's block.  A piece that contracts to the single atom has no key.
+    """
+    pieces = [[] for _ in range(max(cover, default=-1) + 1)]
+    for v, c in zip(rgs, cover):
+        piece = pieces[c]
+        if not piece or piece[-1] != v:
+            piece.append(v)
+    keys = []
+    for piece in pieces:
+        if len(piece) == 1:
+            continue
+        if piece[-1] == piece[0]:
+            piece.pop()
+        label = {}
+        keys.append(tuple(label.setdefault(v, len(label)) for v in piece))
+    keys.sort()
+    return tuple(keys)
+
+
 @cache
 def _partition_weight_keys(pi):
-    if pi.n == 0:
-        return ()
-    cover = pi.noncrossing_cover()
-    return tuple(_connected_weight_key(pi.restrict(b)) for b in cover.blocks)
+    keys = _rgs_weight_keys(pi.rgs, _rgs_cover(pi.rgs))
+    return tuple(Partition.from_rgs(key) for key in keys)
 
 
 def pc_plus_weight(pi: Partition, w: WeightAssignment) -> Fraction:
@@ -346,6 +375,5 @@ def partition_weight(pi: Partition, w: WeightAssignment) -> Fraction:
     the empty partition weighs 1."""
     result = _ONE
     for key in _partition_weight_keys(pi):
-        if key is not None:
-            result *= w[key]
+        result *= w[key]
     return result

@@ -11,6 +11,7 @@ processes by fixed-length rgs prefixes; the result is independent of the
 worker count.
 """
 
+import os
 from enum import Enum
 from multiprocessing import Pool
 
@@ -193,18 +194,27 @@ def _iterate(n, cls):
                 yield Partition.from_rgs(rgs)
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def count(n, cls=PartitionClass.ALL, workers=1):
     """Exact family size, by enumeration.
 
     With ``workers > 1`` the rgs tree is split at a fixed prefix depth and
-    the subtrees are counted in separate processes; the total does not
-    depend on the worker count.
+    the subtrees are counted in separate processes, at most one per CPU
+    this process may run on; the total does not depend on the worker
+    count.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     cls = PartitionClass(cls)
+    workers = min(workers, _usable_cpus())
     if workers == 1 or n < _PARALLEL_MIN_N:
         return _count_serial(n, cls)
     length = min(_PREFIX_LEN, n - 2)

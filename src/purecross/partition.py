@@ -22,7 +22,6 @@ in different blocks).
 """
 
 import re
-from functools import cache
 
 
 class PartitionError(ValueError):
@@ -297,7 +296,7 @@ class Partition:
         >>> str(Partition.parse("1,3|2,4|5").noncrossing_cover())
         '1,2,3,4|5'
         """
-        return _cover(self)
+        return Partition.from_rgs(_rgs_cover(self.rgs))
 
     def rotate(self, r: int) -> "Partition":
         """Relabel every atom i to ((i - 1 + r) mod n) + 1 and recanonicalize."""
@@ -401,49 +400,44 @@ def _rgs_connected(rgs) -> bool:
     return True
 
 
-def _blocks_cross(a, b) -> bool:
-    """True iff the two disjoint sorted blocks interleave.
+def _rgs_cover(rgs) -> list[int]:
+    """The rgs of the noncrossing cover, in one left-to-right pass.
 
-    Walking both in merged order, crossing means the block label switches
-    at least three times (pattern a..b..a..b or b..a..b..a).
+    Open components sit on a stack in order of their first atom, and a
+    union-find maps each block to its component.  When an atom's block
+    reappears, every component stacked above its own has an atom before
+    this one and another after it, so each crosses it and is merged in.
+    A component is popped once its last atom is passed.
     """
-    i = j = 0
-    la, lb = len(a), len(b)
-    switches = 0
-    last = -1
-    while i < la or j < lb:
-        if j >= lb or (i < la and a[i] < b[j]):
-            lab = 0
-            i += 1
+    n = len(rgs)
+    last = [0] * n
+    for i, b in enumerate(rgs):
+        last[b] = i
+    parent = []  # union-find over block indices; a root is its component's first block
+    end = []  # last atom of the component, valid at roots
+    stack: list[int] = []
+    for i, b in enumerate(rgs):
+        if b == len(parent):
+            parent.append(b)
+            end.append(last[b])
+            stack.append(b)
         else:
-            lab = 1
-            j += 1
-        if lab != last:
-            if last >= 0:
-                switches += 1
-                if switches >= 3:
-                    return True
-            last = lab
-    return False
-
-
-@cache
-def _cover(pi: Partition) -> Partition:
-    blocks = list(pi.blocks)
-    while True:
-        pair = None
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if _blocks_cross(blocks[i], blocks[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        i, j = pair
-        merged = tuple(sorted(blocks[i] + blocks[j]))
-        del blocks[j]
-        del blocks[i]
-        blocks.append(merged)
-    return Partition(pi.n, blocks)
+            r = b
+            while parent[r] != r:
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            while stack[-1] != r:
+                c = stack.pop()
+                parent[c] = r
+                if end[c] > end[r]:
+                    end[r] = end[c]
+        while stack and end[stack[-1]] <= i:
+            stack.pop()
+    label = {}
+    cover = [0] * n
+    for i, b in enumerate(rgs):
+        r = b
+        while parent[r] != r:
+            r = parent[r]
+        cover[i] = label.setdefault(r, len(label))
+    return cover

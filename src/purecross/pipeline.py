@@ -15,17 +15,15 @@ four integer columns that fall out and can cross-check them against
 brute-force enumeration.  At order m every step is a closed form.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .bijections import (
-    WeightAssignment,
-    connected_weight,
-    partition_weight,
-    pc_plus_weight,
-)
-from .enumeration import PartitionClass, count, iterate
+from .bijections import WeightAssignment, _rgs_weight_keys
+from .enumeration import PartitionClass, _iter_rgs_plain, count
+from .partition import Partition, _rgs_cover
 from .series import Series, solve_fixpoint
 
 _ZERO = Fraction(0)
@@ -98,33 +96,55 @@ def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
     return b, c, d
 
 
-# Tuples of every family member are kept for the sizes the weighted
-# brute-force sums revisit; larger ground sets stream fresh.
-_MEMBER_CACHE: dict = {}
-_MEMBER_CACHE_MAX_N = 10
+# Plans of this many ground-set sizes are kept, the most recently used.
+_PLANS_KEPT = 16
 
 
-def _members(n: int, cls: PartitionClass):
-    if n > _MEMBER_CACHE_MAX_N:
-        return iterate(n, cls)
-    key = (n, cls)
-    if key not in _MEMBER_CACHE:
-        _MEMBER_CACHE[key] = tuple(iterate(n, cls))
-    return _MEMBER_CACHE[key]
+@lru_cache(maxsize=_PLANS_KEPT)
+def _transport_plan(n: int):
+    """For A, B, C and D in turn, the terms (mult, keys) of the degree-n
+    brute-force sum: ``mult`` members of the family each weigh the
+    product of ``w[key]`` over ``keys``.  One walk of every restricted-
+    growth string of length n fills all four."""
+    pc, pc_plus, connected, full = Counter(), Counter(), Counter(), Counter()
+    for rgs in _iter_rgs_plain(n):
+        cover = _rgs_cover(rgs)
+        keys = _rgs_weight_keys(rgs, cover)
+        full[keys] += 1
+        if any(cover):
+            continue
+        connected[keys] += 1
+        if all(u != v for u, v in zip(rgs, rgs[1:])):
+            pc_plus[keys] += 1
+            if rgs[-1] != 0:
+                pc[keys] += 1
+    partitions = {key: Partition.from_rgs(key) for key in {key for keys in full for key in keys}}
+    return tuple(
+        tuple((mult, tuple(partitions[key] for key in keys)) for keys, mult in family.items())
+        for family in (pc, pc_plus, connected, full)
+    )
+
+
+def _plan_sum(terms, w: WeightAssignment) -> Fraction:
+    total = _ZERO
+    for mult, keys in terms:
+        for key in keys:
+            mult *= w[key]
+        total += mult
+    return total
 
 
 def weighted_brute_coeffs(
     n: int, w: WeightAssignment
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The degree-n coefficients of A, B, C, D computed the slow, direct
-    way: sum the transported weight of every member of each family."""
+    way: sum the transported weight of every member of each family.  The
+    members are walked once per n into a transport plan, which counts how
+    often each tuple of purely crossing keys occurs; a coefficient is then
+    the sum of mult * prod w[key] over the plan."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    a = sum((w[pi] for pi in _members(n, PartitionClass.PURELY_CROSSING)), _ZERO)
-    b = sum((pc_plus_weight(pi, w) for pi in _members(n, PartitionClass.PC_PLUS)), _ZERO)
-    c = sum((connected_weight(pi, w) for pi in _members(n, PartitionClass.CONNECTED)), _ZERO)
-    d = sum((partition_weight(pi, w) for pi in _members(n, PartitionClass.ALL)), _ZERO)
-    return a, b, c, d
+    return tuple(_plan_sum(terms, w) for terms in _transport_plan(n))
 
 
 _COLUMNS = (

@@ -27,6 +27,8 @@ from purecross import (
     pc_plus_decompose,
     pc_plus_weight,
 )
+from purecross.bijections import _rgs_weight_keys
+from purecross.partition import _rgs_cover
 
 
 def compositions(n, parts):
@@ -360,6 +362,20 @@ class TestWeights:
                 for piece in dec.pieces:
                     expected *= connected_weight(piece, w)
                 assert partition_weight(pi, w) == expected
+
+    def test_rgs_keys_match_the_decompositions(self):
+        # The rgs key kernel against cover_decompose -> contract ->
+        # pc_plus_decompose, one partition at a time.
+        for n in range(1, 10):
+            for pi in iterate(n, PartitionClass.ALL):
+                expected = []
+                for piece in cover_decompose(pi).pieces:
+                    base, _ = contract(piece)
+                    if base.n > 1:
+                        expected.append(pc_plus_decompose(base).base.rgs)
+                got = _rgs_weight_keys(pi.rgs, _rgs_cover(pi.rgs))
+                assert got == tuple(sorted(expected)), pi
+        assert _rgs_weight_keys((), []) == ()
 
     def test_inflation_preserves_weight(self):
         rnd = random.Random(11)

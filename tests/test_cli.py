@@ -211,6 +211,25 @@ class TestSeries:
             )
             assert code == 2 and "bad weights file" in err and kind in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            "null",
+            '[{"partition": 5, "weight": "2"}]',
+            '[{"partition": "1,3|2,4", "weight": [1]}]',
+            '[{"partition": "1,3|2,4", "weight": null}]',
+            '[{"partition": "1,3|2,4", "weight": {}}]',
+        ],
+    )
+    def test_malformed_weights_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "weights.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "series", "--which", "A", "--order", "4", "--weights", str(path)
+        )
+        assert (code, out) == (2, "") and "bad weights file" in err
+
     def test_bad_order(self, capsys):
         assert invoke(capsys, "series", "--which", "A", "--order", "0")[0] == 2
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from purecross import Partition, PartitionClass, count, iterate, orbit_size
+from purecross import Partition, PartitionClass, count, enumeration, iterate, orbit_size
 
 from oracles import (
     PUBLISHED_COUNTS,
@@ -110,6 +110,43 @@ def test_parallel_path_on_larger_n():
     # n = 10 goes through the chunked path even with one worker process.
     assert count(10, PartitionClass.CONNECTED, workers=2) == 10205
     assert count(10, PartitionClass.NONCROSSING, workers=2) == catalan(10)
+
+
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records the requested process
+    count and maps in this process, so nothing is spawned."""
+
+    requested = []
+
+    def __init__(self, processes):
+        self.requested.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_worker_count_is_capped_by_usable_cpus(monkeypatch, affinity):
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    if affinity:
+        monkeypatch.setattr(
+            enumeration.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+    else:
+        monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    for cls in CLASSES:
+        reference = count(9, cls, workers=1)
+        assert count(9, cls, workers=500) == reference
+        assert count(9, cls, workers=2) == reference
+    assert _InlinePool.requested == [3, 2] * len(CLASSES)
 
 
 @pytest.mark.parametrize("n", [13, 14, 15])

@@ -13,7 +13,9 @@ from purecross import (
     Series,
     WeightAssignment,
     bell_series,
+    connected_weight,
     counts_table,
+    cover_decompose,
     derive_a_from_b,
     derive_b_from_c,
     derive_c_from_d,
@@ -21,6 +23,7 @@ from purecross import (
     iterate,
     weighted_brute_coeffs,
 )
+from purecross.pipeline import _transport_plan
 
 from oracles import PUBLISHED_COUNTS, bell_brute, catalan
 
@@ -183,6 +186,40 @@ class TestWeightedBrute:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             weighted_brute_coeffs(0, WeightAssignment())
+
+    def test_plan_multiplicities_are_family_sizes(self):
+        for n in range(1, 10):
+            sizes = tuple(sum(mult for mult, _ in terms) for terms in _transport_plan(n))
+            assert sizes == PUBLISHED_COUNTS[n], n
+            assert sizes[3] == bell_brute(n), n
+
+    def test_matches_per_member_sums(self):
+        # Each member weighs the product of connected_weight over the
+        # pieces of its cover decomposition; a purely crossing one weighs w[pi].
+        rnd = random.Random(19)
+        support = [
+            pi
+            for n in range(4, 9)
+            for pi in iterate(n, PartitionClass.PURELY_CROSSING)
+        ]
+        for _ in range(3):
+            w = WeightAssignment(
+                {pi: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for pi in support}
+            )
+            for n in range(1, 9):
+                a = b = c = d = Fraction(0)
+                for pi in iterate(n, PartitionClass.ALL):
+                    weight = Fraction(1)
+                    for piece in cover_decompose(pi).pieces:
+                        weight *= connected_weight(piece, w)
+                    d += weight
+                    if pi.is_connected():
+                        c += weight
+                    if pi.is_pc_plus():
+                        b += weight
+                    if pi.is_purely_crossing():
+                        a += w[pi]
+                assert weighted_brute_coeffs(n, w) == (a, b, c, d), n
 
 
 class TestCountsTable:

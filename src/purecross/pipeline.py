@@ -4,15 +4,17 @@ Writing A, B, C, D for the weighted counting series of the purely
 crossing, no-neighbor connected, connected, and arbitrary families, the
 decompositions in :mod:`purecross.bijections` force
 
-* ``B = x + (1 + x) * A``        (adjoin-last-atom split),
+* ``B = x + (1 + x) * A``        (adjoin-last-atom split; O(m) backward),
 * ``C = B(x / (1 - x))``        (run inflation; a binomial transform, O(m^2)),
-* ``D = 1 + C(x * D)``          (gap decomposition; Lagrange inversion, O(m^3)).
+* ``D = 1 + C(x * D)``          (gap decomposition; Lagrange-Buermann, O(m^3)).
 
 The forward direction turns a weight series A into B, C, D.  The
 backward direction starts from the Bell-number series D of unweighted
 counts and recovers C, B, A exactly; :func:`counts_table` tabulates the
 four integer columns that fall out and can cross-check them against
-brute-force enumeration.  At order m every step is a closed form.
+brute-force enumeration.  At order m every step is a closed form, and
+integral input is worked on as Python ints, where every division is
+exact, so the backward pipeline does its arithmetic on ints.
 """
 
 from collections import Counter
@@ -24,7 +26,7 @@ from math import comb
 from .bijections import WeightAssignment, _rgs_weight_keys
 from .enumeration import PartitionClass, _iter_rgs_plain, count
 from .partition import Partition, _rgs_cover
-from .series import Series, solve_fixpoint
+from .series import Series, _lagrange, solve_fixpoint
 
 _ZERO = Fraction(0)
 
@@ -46,8 +48,11 @@ def bell_series(order: int) -> Series:
 
 
 def _binomial(s: Series, sign: int) -> Series:
-    """s(x / (1 - sign x)): [x^n] = sum_k C(n-1, k-1) sign^(n-k) s_k, n >= 1."""
+    """s(x / (1 - sign x)): [x^n] = sum_k C(n-1, k-1) sign^(n-k) s_k, n >= 1.
+    Integral coefficients are summed as ints."""
     c = s.coeffs
+    if all(q.denominator == 1 for q in c):
+        c = [q.numerator for q in c]
     out = [c[0]]
     for n in range(1, s.order + 1):
         out.append(sum(comb(n - 1, k - 1) * sign ** (n - k) * c[k] for k in range(1, n + 1)))
@@ -55,15 +60,16 @@ def _binomial(s: Series, sign: int) -> Series:
 
 
 def derive_c_from_d(d: Series) -> Series:
-    """Invert the gap relation: with F = x * d and G its reversion,
-    C(w) = w / G(w) - 1.  The result order drops by one; coefficient
-    c_M would need one more coefficient of d than the input carries."""
+    """Invert the gap relation D = 1 + C(x D).  The reversion G of x D
+    solves G = w / D(G), and C(w) = D(G(w)) - 1, so by Lagrange-Buermann
+    c_n = [x^(n-1)] D'(x) D(x)^(-n) / n: one pass, no reversion and no
+    series inverse, on exact ints when d is integral.  The result has
+    order d.order - 1."""
     if d.order < 1:
         raise ValueError("need order >= 1")
     if d[0] != 1:
         raise ValueError("constant term must be 1")
-    g = d.shift_up().reversion()
-    return g.shift_down().inverse() - 1
+    return Series([0] + _lagrange(d, d.order - 1, -1, h=d), order=d.order - 1)
 
 
 def derive_b_from_c(c: Series) -> Series:
@@ -74,13 +80,16 @@ def derive_b_from_c(c: Series) -> Series:
 
 
 def derive_a_from_b(b: Series) -> Series:
-    """Invert the adjoining relation: A = (B - x) / (1 + x)."""
+    """Invert the adjoining relation: A = (B - x) / (1 + x), that is
+    a_n = b_n - [n = 1] - a_(n-1), O(m)."""
     if b.order < 1 or b[1] != 1:
         raise ValueError("linear coefficient must be 1")
     if b[0] != 0:
         raise ValueError("constant term must be 0")
-    one_plus_x = Series([1, 1], order=b.order)
-    return (b - Series.x(b.order)) * one_plus_x.inverse()
+    a = [_ZERO, _ZERO]
+    for n in range(2, b.order + 1):
+        a.append(b[n] - a[-1])
+    return Series(a, order=b.order)
 
 
 def forward_weighted(a: Series) -> tuple[Series, Series, Series]:

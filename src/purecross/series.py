@@ -11,6 +11,8 @@ nothing ever extends an order.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import truediv
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -115,10 +117,6 @@ class Series:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
         return Series(self.coeffs[: order + 1], order=order)
 
-    def shift_up(self) -> "Series":
-        """Multiply by x at fixed order; the top input coefficient falls off."""
-        return Series((_ZERO,) + self.coeffs[:-1], order=self.order)
-
     def shift_down(self) -> "Series":
         """Divide by x; requires a zero constant term, order drops by one."""
         if self.coeffs[0] != 0:
@@ -138,17 +136,32 @@ class Series:
     # -- composition and inverses -------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
-        """``self(inner)``; the inner series must kill its constant term."""
+        """``self(inner)``; the inner series must kill its constant term.
+
+        Horner's rule on integers: with F = M * self and G = L * inner
+        integral (M, L the lcms of the denominators), r <- r * G + F_k L^(m-k)
+        for k = m-1 .. 0 gives M L^m self(inner), divided out once at the end.
+        """
         if not isinstance(inner, Series):
             raise TypeError("compose expects a Series")
         if inner.coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         m = min(self.order, inner.order)
-        g = inner if inner.order == m else inner.truncate(m)
-        result = Series([self.coeffs[m]], order=m)
+        f, f_den = _integral(self.coeffs[: m + 1])
+        g, g_den = _integral(inner.coeffs[: m + 1])
+        r = [f[m]] + [0] * m
+        scale = 1
         for k in range(m - 1, -1, -1):
-            result = result * g + self.coeffs[k]
-        return result
+            scale *= g_den
+            nxt = [f[k] * scale] + [0] * m
+            for i in range(m):
+                ri = r[i]
+                if ri:
+                    for j in range(1, m + 1 - i):
+                        nxt[i + j] += ri * g[j]
+            r = nxt
+        den = f_den * scale
+        return Series([Fraction(v, den) for v in r], order=m)
 
     def inverse(self) -> "Series":
         """Reciprocal series 1 / self; needs an invertible constant term."""
@@ -169,32 +182,60 @@ class Series:
         """Compositional inverse g with self(g) = g(self) = x.
 
         Requires a zero constant term and a nonzero linear coefficient.
-        Since g = x * phi(g) with phi = x / self, Lagrange inversion gives
-        g_n = [t^(n-1)] phi^n / n in one pass of O(order^3) operations.
+        Since g = x * psi(g)^-1 with psi = self / x, Lagrange inversion gives
+        g_n = [t^(n-1)] psi^-n / n in one pass of O(order^3) operations.
         """
         c = self.coeffs
         if c[0] != 0:
             raise ValueError("reversion needs a zero constant term")
         if self.order < 1 or c[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
-        phi = self.shift_down().inverse()
-        return Series([_ZERO] + _lagrange(phi, self.order), order=self.order)
+        return Series([_ZERO] + _lagrange(self.shift_down(), self.order, -1), order=self.order)
 
 
-def _lagrange(phi: Series, count: int) -> list:
-    """G_1 .. G_count of G = x * phi(G), by Lagrange inversion
-    G_n = [t^(n-1)] phi^n / n.  Each p = phi^n comes from J.C.P. Miller's
-    recurrence (Knuth, TAOCP vol. 2, 4.7), p_0 = phi_0^n and
-    p_k = sum_{j=1..k} ((n + 1) j - k) phi_j p_{k-j} / (k phi_0): O(count^3)
-    in all.  ``phi`` needs phi_0 != 0 and terms through t^(count - 1)."""
-    f = phi.coeffs
+def _integral(coeffs) -> tuple[list, int]:
+    """Integers z and their common denominator den with coeffs = z / den."""
+    den = lcm(*(q.denominator for q in coeffs))
+    return [q.numerator * (den // q.denominator) for q in coeffs], den
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den for integers known to divide; anything else is a bug."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
+    return quotient
+
+
+def _lagrange(psi: Series, count: int, sign: int, h: Series | None = None) -> list:
+    """[w^n] H(G) for n = 1 .. count, where G = x * psi(G)^sign, sign = +-1,
+    and H = t when ``h`` is None.  By Lagrange-Buermann,
+    [w^n] H(G) = [t^(n-1)] H'(t) psi(t)^(sign n) / n.  Each p = psi^e comes
+    from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7),
+    p_0 = psi_0^e and p_k = sum_{j=1..k} ((e + 1) j - k) psi_j p_{k-j} / (k psi_0),
+    which holds for negative e too: O(count^3) in all.
+
+    When psi_0 = 1 and psi and H are integral, so is every p and every
+    result, and the loop runs on ints with exact divisions, checked.
+    Otherwise it runs on Fractions.  ``psi`` needs psi_0 != 0, and psi
+    and ``h`` need terms through t^(count - 1) and t^count.
+    """
+    f = psi.coeffs
+    h = Series.x(count) if h is None else h
+    dh = h.derivative().coeffs
+    if f[0] == 1 and all(q.denominator == 1 for q in f + h.coeffs):
+        f, dh = [int(q) for q in f], [int(q) for q in dh]
+        div = _exact
+    else:
+        div = truediv
     out = []
     for n in range(1, count + 1):
-        p = [f[0] ** n]
+        e = sign * n
+        p = [f[0] ** e if e > 0 else div(1, f[0] ** -e)]
         for k in range(1, n):
-            acc = sum(((n + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1))
-            p.append(acc / (k * f[0]))
-        out.append(p[n - 1] / n)
+            acc = sum(((e + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1))
+            p.append(div(acc, k * f[0]))
+        out.append(div(sum(dh[i] * p[n - 1 - i] for i in range(n)), n))
     return out
 
 
@@ -208,7 +249,7 @@ def solve_fixpoint(c: Series) -> Series:
         raise TypeError("solve_fixpoint expects a Series")
     if c.coeffs[0] != 0:
         raise ValueError("the composed series must have zero constant term")
-    return Series(_lagrange(c + 1, c.order + 1), order=c.order)
+    return Series(_lagrange(c + 1, c.order + 1, 1), order=c.order)
 
 
 def render_text(f: Series) -> str:

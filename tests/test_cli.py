@@ -1,5 +1,6 @@
 """Command line interface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -14,6 +15,9 @@ from purecross import (
     iterate,
     weighted_brute_coeffs,
 )
+import purecross.cli as cli_module
+import purecross.pipeline as pipeline_module
+import purecross.verify as verify_module
 from purecross.cli import run
 
 from oracles import PUBLISHED_COUNTS
@@ -127,6 +131,13 @@ class TestTable:
 
     def test_bad_max_n(self, capsys):
         assert invoke(capsys, "table", "--max-n", "0")[0] == 2
+
+    def test_max_n_100_is_golden(self, capsys):
+        code, out, _ = invoke(capsys, "table", "--max-n", "100")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "16f8b37f4b8348b05f0c6d395ac2ff9d4a465fb1f58b5a12821a6082cf56215e"
+        )
 
 
 class TestSeries:
@@ -249,6 +260,54 @@ class TestVerify:
         monkeypatch.setattr(cli_module, "run_checks", lambda **kw: False)
         assert run(["verify"]) == 1
         capsys.readouterr()
+
+
+def _miscount(monkeypatch):
+    # Enumeration that contradicts the series pipeline.
+    monkeypatch.setattr(pipeline_module, "count", lambda n, cls, workers=1: -1)
+
+
+def _failing_check(monkeypatch):
+    monkeypatch.setattr(verify_module, "CHECKS", (("always fails", lambda ctx: "broken"),))
+
+
+# 0 success, 1 verification or cross-check failure, 2 bad argument or input.
+EXIT_CODES = [
+    (["classify", "1,3|2,4"], 0, None),
+    (["classify", "1,3"], 2, None),
+    (["classify", "1,3|2,x"], 2, None),
+    (["enumerate", "--n", "3"], 0, None),
+    (["enumerate", "--n", "0"], 2, None),
+    (["enumerate"], 2, None),
+    (["count", "--n", "4", "--class", "pc"], 0, None),
+    (["count", "--n", "4", "--workers", "0"], 2, None),
+    (["count", "--n", "x"], 2, None),
+    (["table", "--max-n", "4", "--check-enum-up-to", "4"], 0, None),
+    (["table", "--max-n", "4", "--check-enum-up-to", "4"], 1, _miscount),
+    (["table", "--max-n", "0"], 2, None),
+    (["table", "--max-n", "4", "--check-enum-up-to", "-1"], 2, None),
+    (["series", "--which", "A", "--order", "5"], 0, None),
+    (["series", "--which", "A", "--order", "0"], 2, None),
+    (["series", "--which", "E"], 2, None),
+    (["verify", "--max-n", "3", "--weighted-trials", "1"], 0, None),
+    (["verify"], 1, _failing_check),
+    (["verify", "--max-n", "0"], 2, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, sabotage",
+    EXIT_CODES,
+    ids=[f"{' '.join(argv)}->{code}" for argv, code, _ in EXIT_CODES],
+)
+def test_exit_code_table(capsys, monkeypatch, argv, expected, sabotage):
+    if sabotage is not None:
+        sabotage(monkeypatch)
+    assert invoke(capsys, *argv)[0] == expected
+
+
+def test_exit_code_table_covers_every_subcommand():
+    assert {argv[0] for argv, _, _ in EXIT_CODES} == set(cli_module._HANDLERS)
 
 
 class TestUsage:

@@ -96,6 +96,25 @@ class TestBackwardPipeline:
             )
             assert derive_b_from_c(c).compose(geometric) == c
 
+    @staticmethod
+    def _gap_relation_holds(d):
+        c = derive_c_from_d(d)
+        m = c.order
+        x_d = Series([0] + list(d.coeffs[:m]), order=m)
+        return c.compose(x_d) + 1 == d.truncate(m)
+
+    def test_gap_relation_on_bell_series(self):
+        assert self._gap_relation_holds(bell_series(61))
+
+    def test_gap_relation_on_rational_input(self):
+        rnd = random.Random(23)
+        for _ in range(5):
+            d = Series(
+                [1] + [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(15)],
+                order=15,
+            )
+            assert self._gap_relation_holds(d)
+
     def test_coefficients_stay_integral(self):
         d = bell_series(16)
         c = derive_c_from_d(d)
@@ -132,8 +151,8 @@ class TestForwardPipeline:
     def test_roundtrip_through_backward(self):
         a = Series([0, 0, 0, 5, -2, Fraction(1, 3), 7], order=6)
         b, c, d = forward_weighted(a)
-        # The backward chain loses one order coming out of the reversion,
-        # so compare after dropping the top coefficient.
+        # derive_c_from_d returns one order less than it is given, so
+        # compare after dropping the top coefficient.
         c_back = derive_c_from_d(d)
         assert c_back == c.truncate(c_back.order)
         b_back = derive_b_from_c(c_back)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from purecross import Series, render_text, solve_fixpoint
+from purecross.series import _exact, _lagrange
 
 from oracles import catalan, lagrange_reversion
 
@@ -113,9 +114,6 @@ class TestBookkeeping:
         with pytest.raises(ValueError):
             f.truncate(5)
 
-    def test_shift_up_drops_the_top(self):
-        assert Series([1, 2, 3]).shift_up() == Series([0, 1, 2])
-
     def test_shift_down(self):
         assert Series([0, 1, 2]).shift_down() == Series([1, 2])
         with pytest.raises(ValueError):
@@ -184,6 +182,11 @@ class TestReversion:
             [0, 1, 0, 1, 0, 1],
             [0, Fraction(1, 2), Fraction(-1, 3), 0, 5],
             [0, 3, 1, Fraction(7, 2)],
+            # Integral: linear coefficient 1 runs the integer path, -1 and
+            # 2 fall back to Fractions.
+            [0, 1, -7, 4, 0, 9, -3, 1, 8, -5, 2, 6, -1],
+            [0, -1, 5, -2, 8, 0, 3, -9, 1, 4, -6, 2, 7],
+            [0, 2, 3, -4, 1, 7, -8, 0, 5, -3, 9, -1, 6],
         ]
         for coeffs in cases:
             f = Series(coeffs, order=12)
@@ -216,6 +219,18 @@ class TestReversion:
     def test_reversion_is_an_involution(self, tail):
         f = Series([0, 1] + tail, order=10)
         assert f.reversion().reversion() == f
+
+
+class TestLagrangeKernel:
+    def test_non_exact_integer_division_raises(self):
+        assert _exact(-12, 4) == -3
+        with pytest.raises(ArithmeticError):
+            _exact(7, 2)
+
+    def test_integral_derivative_alone_keeps_fractions(self):
+        # H = t^2 / 2 has an integral derivative, but [w^2] H(w) = 1/2.
+        h = Series([0, 0, Fraction(1, 2)], order=3)
+        assert _lagrange(Series.one(3), 3, 1, h=h) == [0, Fraction(1, 2), 0]
 
 
 class TestFixpoint:

@@ -27,11 +27,15 @@ weights of its cover pieces, the empty partition weighing 1.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .partition import Partition, _rgs_cover
 
 _ONE = Fraction(1)
+
+# Entries kept by each per-partition weight-key cache, the most recently
+# used: room for all 26,442 partitions with n <= 9, bounded for any sweep.
+_KEYS_KEPT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,7 @@ class WeightAssignment:
         return cls(entries)
 
 
-@cache
+@lru_cache(maxsize=_KEYS_KEPT)
 def _pc_plus_weight_key(pi):
     # The purely crossing partition whose assigned weight this member
     # reads, or None for the fixed weight 1 of the single atom.
@@ -318,7 +322,7 @@ def _pc_plus_weight_key(pi):
     return pc_plus_decompose(pi).base
 
 
-@cache
+@lru_cache(maxsize=_KEYS_KEPT)
 def _connected_weight_key(pi):
     base, _ = contract(pi)
     return _pc_plus_weight_key(base)
@@ -351,7 +355,7 @@ def _rgs_weight_keys(rgs, cover) -> tuple[tuple[int, ...], ...]:
     return tuple(keys)
 
 
-@cache
+@lru_cache(maxsize=_KEYS_KEPT)
 def _partition_weight_keys(pi):
     keys = _rgs_weight_keys(pi.rgs, _rgs_cover(pi.rgs))
     return tuple(Partition.from_rgs(key) for key in keys)

@@ -91,6 +91,47 @@ def _iter_rgs_no_neighbors(n, prefix=()):
             maxp[j] = maxp[j - 1] if maxp[j - 1] >= rgs[j] else rgs[j]
 
 
+def _iter_rgs_no_singletons(n):
+    """Restricted-growth strings with no block of size 1, in lexicographic
+    order.  Each later atom can join at most one singleton block, so a
+    prefix is pruned once its singletons outnumber the atoms left.
+    Yields one shared list; callers must copy."""
+    if n == 0:
+        yield []
+        return
+    rgs = [-1] * n
+    size = [0] * n  # atoms in each block
+    blocks = singles = 0
+    i = 0
+    while i >= 0:
+        v = rgs[i]
+        if v >= 0:  # take atom i back out of its block
+            size[v] -= 1
+            if size[v] == 0:
+                blocks -= 1
+                singles -= 1
+            elif size[v] == 1:
+                singles += 1
+        v += 1
+        if v > blocks:
+            rgs[i] = -1
+            i -= 1
+            continue
+        rgs[i] = v
+        size[v] += 1
+        if size[v] == 1:
+            blocks += 1
+            singles += 1
+        elif size[v] == 2:
+            singles -= 1
+        if singles > n - 1 - i:
+            continue
+        if i == n - 1:
+            yield rgs
+        else:
+            i += 1
+
+
 def _iter_rgs_noncrossing(n, prefix=()):
     """Restricted-growth strings of noncrossing partitions.
 

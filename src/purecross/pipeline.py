@@ -17,14 +17,14 @@ integral input is worked on as Python ints, where every division is
 exact, so the backward pipeline does its arithmetic on ints.
 """
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .bijections import WeightAssignment, _rgs_weight_keys
-from .enumeration import PartitionClass, _iter_rgs_plain, count
+from .enumeration import PartitionClass, _iter_rgs_no_singletons, count
 from .partition import Partition, _rgs_cover
 from .series import Series, _lagrange, solve_fixpoint
 
@@ -111,49 +111,69 @@ _PLANS_KEPT = 16
 
 @lru_cache(maxsize=_PLANS_KEPT)
 def _transport_plan(n: int):
-    """For A, B, C and D in turn, the terms (mult, keys) of the degree-n
-    brute-force sum: ``mult`` members of the family each weigh the
-    product of ``w[key]`` over ``keys``.  One walk of every restricted-
-    growth string of length n fills all four."""
-    pc, pc_plus, connected, full = Counter(), Counter(), Counter(), Counter()
-    for rgs in _iter_rgs_plain(n):
-        cover = _rgs_cover(rgs)
-        keys = _rgs_weight_keys(rgs, cover)
-        full[keys] += 1
-        if any(cover):
-            continue
-        connected[keys] += 1
-        if all(u != v for u, v in zip(rgs, rgs[1:])):
-            pc_plus[keys] += 1
-            if rgs[-1] != 0:
-                pc[keys] += 1
-    partitions = {key: Partition.from_rgs(key) for key in {key for keys in full for key in keys}}
+    """The degree-n brute-force sums as rows (keys, (a, b, c, d)), one per
+    distinct tuple of purely crossing keys: a purely crossing, b
+    no-neighbor connected, c connected and d arbitrary partitions of n
+    atoms each weigh the product of ``w[key]`` over ``keys``.
+
+    Only singleton-free restricted-growth strings are walked.  A
+    singleton crosses nothing and contracts to the single atom, so it has
+    no key, and removing the singletons of a partition leaves its cover
+    pieces and keys unchanged.  The members of D with exactly m atoms in
+    non-singleton blocks are the pairs (m-subset of [n], singleton-free
+    partition of [m]), so they are counted C(n, m) at a time rather than
+    walked: D_n[K] = sum_m C(n, m) SF_m[K].  A connected partition with
+    n >= 2 has no singleton, so A, B and C come from the walk of length
+    n; the single atom is connected, no-neighbor and keyless."""
+    rows = defaultdict(lambda: [0, 0, 0, 0])
+    for m in range(n + 1):
+        ways = comb(n, m)
+        for rgs in _iter_rgs_no_singletons(m):
+            cover = _rgs_cover(rgs)
+            row = rows[_rgs_weight_keys(rgs, cover)]
+            row[3] += ways
+            if m < n or any(cover):
+                continue
+            row[2] += 1
+            if all(u != v for u, v in zip(rgs, rgs[1:])):
+                row[1] += 1
+                if rgs[-1] != 0:
+                    row[0] += 1
+    if n == 1:
+        rows[()][1:3] = [1, 1]
+    partitions = {key: Partition.from_rgs(key) for keys in rows for key in keys}
     return tuple(
-        tuple((mult, tuple(partitions[key] for key in keys)) for keys, mult in family.items())
-        for family in (pc, pc_plus, connected, full)
+        (tuple(partitions[key] for key in keys), tuple(mults)) for keys, mults in rows.items()
     )
-
-
-def _plan_sum(terms, w: WeightAssignment) -> Fraction:
-    total = _ZERO
-    for mult, keys in terms:
-        for key in keys:
-            mult *= w[key]
-        total += mult
-    return total
 
 
 def weighted_brute_coeffs(
     n: int, w: WeightAssignment
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The degree-n coefficients of A, B, C, D computed the slow, direct
-    way: sum the transported weight of every member of each family.  The
-    members are walked once per n into a transport plan, which counts how
-    often each tuple of purely crossing keys occurs; a coefficient is then
-    the sum of mult * prod w[key] over the plan."""
+    way: sum the transported weight of every member of each family.
+
+    The sum runs over the transport plan of n, which counts how often each
+    tuple of purely crossing keys occurs in each family; members with
+    singleton blocks are counted through C(n, m) rather than walked (see
+    :func:`_transport_plan`).  The sum is taken on ints: every weight is
+    scaled by the lcm L of the weight denominators, a row of k keys by
+    L^(depth - k) more, depth being the most keys in a row, and each
+    coefficient is divided by L^depth once at the end."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return tuple(_plan_sum(terms, w) for terms in _transport_plan(n))
+    plan = _transport_plan(n)
+    rows = [([w[key] for key in keys], mults) for keys, mults in plan]
+    scale = lcm(*(q.denominator for weights, _ in rows for q in weights))
+    depth = max(len(weights) for weights, _ in rows)
+    totals = [0, 0, 0, 0]
+    for weights, mults in rows:
+        value = scale ** (depth - len(weights))
+        for q in weights:
+            value *= q.numerator * (scale // q.denominator)
+        for j, mult in enumerate(mults):
+            totals[j] += mult * value
+    return tuple(Fraction(total, scale**depth) for total in totals)
 
 
 _COLUMNS = (

@@ -27,7 +27,9 @@ from purecross import (
     pc_plus_decompose,
     pc_plus_weight,
 )
+from purecross import bijections
 from purecross.bijections import _rgs_weight_keys
+from purecross.enumeration import _iter_rgs_plain
 from purecross.partition import _rgs_cover
 
 
@@ -376,6 +378,28 @@ class TestWeights:
                 got = _rgs_weight_keys(pi.rgs, _rgs_cover(pi.rgs))
                 assert got == tuple(sorted(expected)), pi
         assert _rgs_weight_keys((), []) == ()
+
+    def test_singletons_carry_no_keys(self):
+        # Dropping the singleton blocks and relabeling the other atoms in
+        # order leaves the keys unchanged, which lets the transport plan
+        # walk singleton-free strings only.
+        for n in range(1, 10):
+            for rgs in _iter_rgs_plain(n):
+                kept = [v for v in rgs if rgs.count(v) > 1]
+                label = {}
+                reduced = [label.setdefault(v, len(label)) for v in kept]
+                assert _rgs_weight_keys(reduced, _rgs_cover(reduced)) == _rgs_weight_keys(
+                    rgs, _rgs_cover(rgs)
+                ), rgs
+
+    def test_key_caches_are_bounded(self):
+        for cached in (
+            bijections._pc_plus_weight_key,
+            bijections._connected_weight_key,
+            bijections._partition_weight_keys,
+        ):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize > 0, cached
 
     def test_inflation_preserves_weight(self):
         rnd = random.Random(11)

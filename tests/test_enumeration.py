@@ -79,6 +79,21 @@ def test_streams_match_predicate_filter_and_are_sorted():
             assert members == [pi for pi in everything if pred(pi)], (n, cls)
 
 
+def test_singleton_free_stream_is_the_filtered_plain_stream():
+    # A000296: 1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722.
+    sizes = []
+    for m in range(11):
+        got = [tuple(rgs) for rgs in enumeration._iter_rgs_no_singletons(m)]
+        expected = [
+            tuple(rgs)
+            for rgs in enumeration._iter_rgs_plain(m)
+            if all(rgs.count(v) > 1 for v in rgs)
+        ]
+        assert got == expected, m
+        sizes.append(len(got))
+    assert sizes == [1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722]
+
+
 def test_streams_match_brute_enumerator():
     for n in range(1, 8):
         got = {pi.blocks for pi in iterate(n, PartitionClass.ALL)}

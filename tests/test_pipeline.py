@@ -208,35 +208,58 @@ class TestWeightedBrute:
 
     def test_plan_multiplicities_are_family_sizes(self):
         for n in range(1, 10):
-            sizes = tuple(sum(mult for mult, _ in terms) for terms in _transport_plan(n))
+            columns = zip(*(mults for _, mults in _transport_plan(n)))
+            sizes = tuple(sum(column) for column in columns)
             assert sizes == PUBLISHED_COUNTS[n], n
             assert sizes[3] == bell_brute(n), n
 
-    def test_matches_per_member_sums(self):
-        # Each member weighs the product of connected_weight over the
-        # pieces of its cover decomposition; a purely crossing one weighs w[pi].
+    @staticmethod
+    def _weight_sets():
+        # Small rationals; large coprime prime denominators, so the lcm
+        # scale is a product of primes near 10^4; zeros and negatives;
+        # and the empty assignment, whose scale is 1.
         rnd = random.Random(19)
         support = [
             pi
             for n in range(4, 9)
             for pi in iterate(n, PartitionClass.PURELY_CROSSING)
         ]
-        for _ in range(3):
-            w = WeightAssignment(
-                {pi: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for pi in support}
-            )
+        primes = (9973, 10007, 10009, 10037, 10039)
+        sets = [
+            {pi: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for pi in support}
+            for _ in range(3)
+        ]
+        sets.append(
+            {pi: Fraction(rnd.randint(-10**6, 10**6), rnd.choice(primes)) for pi in support}
+        )
+        sets.append({pi: rnd.choice((0, -1, -5, Fraction(-3, 7))) for pi in support})
+        sets.append({})
+        return [WeightAssignment(weights) for weights in sets]
+
+    def test_matches_per_member_sums(self):
+        # Each member weighs the product of connected_weight over the
+        # pieces of its cover decomposition; a purely crossing one weighs w[pi].
+        members = {
+            n: [
+                (pi, cover_decompose(pi).pieces, pi.is_connected(), pi.is_pc_plus(),
+                 pi.is_purely_crossing())
+                for pi in iterate(n, PartitionClass.ALL)
+            ]
+            for n in range(1, 9)
+        }
+        for w in self._weight_sets():
             for n in range(1, 9):
                 a = b = c = d = Fraction(0)
-                for pi in iterate(n, PartitionClass.ALL):
+                for pi, pieces, connected, pc_plus, purely_crossing in members[n]:
                     weight = Fraction(1)
-                    for piece in cover_decompose(pi).pieces:
+                    for piece in pieces:
                         weight *= connected_weight(piece, w)
                     d += weight
-                    if pi.is_connected():
+                    if connected:
                         c += weight
-                    if pi.is_pc_plus():
+                    if pc_plus:
                         b += weight
-                    if pi.is_purely_crossing():
+                    if purely_crossing:
                         a += w[pi]
                 assert weighted_brute_coeffs(n, w) == (a, b, c, d), n
 

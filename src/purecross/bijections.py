@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partition import Partition, _rgs_cover
+from .partition import Partition, _rgs_roots
 
 _ONE = Fraction(1)
 
@@ -328,36 +328,44 @@ def _connected_weight_key(pi):
     return _pc_plus_weight_key(base)
 
 
-def _rgs_weight_keys(rgs, cover) -> tuple[tuple[int, ...], ...]:
+def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The purely crossing keys whose weights multiply to the weight of
     the partition with restricted-growth string ``rgs``, sorted, each as
-    an rgs tuple; ``cover`` is the rgs of its noncrossing cover.
+    an rgs tuple; and whether its noncrossing cover is one block.
 
     Per cover block this is :func:`cover_decompose`, :func:`contract` and
     :func:`pc_plus_decompose` read off the rgs: restrict to the block,
     collapse runs of one block, relabel, and drop a last atom that shares
     atom 1's block.  A piece that contracts to the single atom has no key.
+    Atoms are grouped by the root of their block, and a block's label in
+    its piece is the number of earlier blocks with the same root, since
+    blocks are numbered in order of first appearance.
     """
-    pieces = [[] for _ in range(max(cover, default=-1) + 1)]
-    for v, c in zip(rgs, cover):
-        piece = pieces[c]
-        if not piece or piece[-1] != v:
-            piece.append(v)
+    root = _rgs_roots(rgs)
+    seen = [0] * len(root)  # blocks met so far per root
+    rank = []
+    for r in root:
+        rank.append(seen[r])
+        seen[r] += 1
+    pieces = [[] for _ in root]
+    for v in rgs:
+        piece = pieces[root[v]]
+        k = rank[v]
+        if not piece or piece[-1] != k:
+            piece.append(k)
     keys = []
     for piece in pieces:
-        if len(piece) == 1:
-            continue
-        if piece[-1] == piece[0]:
-            piece.pop()
-        label = {}
-        keys.append(tuple(label.setdefault(v, len(label)) for v in piece))
+        if len(piece) > 1:
+            if piece[-1] == 0:
+                piece.pop()
+            keys.append(tuple(piece))
     keys.sort()
-    return tuple(keys)
+    return tuple(keys), not any(root)
 
 
 @lru_cache(maxsize=_KEYS_KEPT)
 def _partition_weight_keys(pi):
-    keys = _rgs_weight_keys(pi.rgs, _rgs_cover(pi.rgs))
+    keys, _ = _rgs_weight_keys(pi.rgs)
     return tuple(Partition.from_rgs(key) for key in keys)
 
 

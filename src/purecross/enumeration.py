@@ -13,7 +13,6 @@ worker count.
 
 import os
 from enum import Enum
-from multiprocessing import Pool
 
 from .partition import Partition, _rgs_connected
 
@@ -262,6 +261,10 @@ def count(n, cls=PartitionClass.ALL, workers=1):
     prefixes = _prefixes(n, cls, length)
     chunks = [prefixes[w::workers] for w in range(workers)]
     chunks = [c for c in chunks if c]
+    # Imported here: a serial count, and every other subcommand, should
+    # not pay for loading multiprocessing.
+    from multiprocessing import Pool
+
     with Pool(processes=len(chunks)) as pool:
         parts = pool.map(_count_chunk, [(n, cls.value, chunk) for chunk in chunks])
     return sum(parts)

@@ -400,14 +400,17 @@ def _rgs_connected(rgs) -> bool:
     return True
 
 
-def _rgs_cover(rgs) -> list[int]:
-    """The rgs of the noncrossing cover, in one left-to-right pass.
+def _rgs_roots(rgs) -> list[int]:
+    """The root of each block, from one left-to-right pass over the rgs:
+    the first block of the noncrossing cover block that holds it.
 
     Open components sit on a stack in order of their first atom, and a
     union-find maps each block to its component.  When an atom's block
     reappears, every component stacked above its own has an atom before
     this one and another after it, so each crosses it and is merged in.
-    A component is popped once its last atom is passed.
+    A component is popped once its last atom is passed.  A block only
+    ever points to an earlier block, so one pass in block order leaves
+    every block pointing straight at its root.
     """
     n = len(rgs)
     last = [0] * n
@@ -417,12 +420,12 @@ def _rgs_cover(rgs) -> list[int]:
     end = []  # last atom of the component, valid at roots
     stack: list[int] = []
     for i, b in enumerate(rgs):
+        r = b
         if b == len(parent):
             parent.append(b)
             end.append(last[b])
             stack.append(b)
         else:
-            r = b
             while parent[r] != r:
                 parent[r] = parent[parent[r]]
                 r = parent[r]
@@ -431,13 +434,16 @@ def _rgs_cover(rgs) -> list[int]:
                 parent[c] = r
                 if end[c] > end[r]:
                     end[r] = end[c]
-        while stack and end[stack[-1]] <= i:
+        if end[r] == i:  # atom i's component is on top; only it can end here
             stack.pop()
+    for b, p in enumerate(parent):
+        parent[b] = parent[p]
+    return parent
+
+
+def _rgs_cover(rgs) -> list[int]:
+    """The rgs of the noncrossing cover: blocks with one root share a
+    cover block, numbered in order of first appearance."""
+    root = _rgs_roots(rgs)
     label = {}
-    cover = [0] * n
-    for i, b in enumerate(rgs):
-        r = b
-        while parent[r] != r:
-            r = parent[r]
-        cover[i] = label.setdefault(r, len(label))
-    return cover
+    return [label.setdefault(root[b], len(label)) for b in rgs]

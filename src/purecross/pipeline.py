@@ -12,9 +12,10 @@ The forward direction turns a weight series A into B, C, D.  The
 backward direction starts from the Bell-number series D of unweighted
 counts and recovers C, B, A exactly; :func:`counts_table` tabulates the
 four integer columns that fall out and can cross-check them against
-brute-force enumeration.  At order m every step is a closed form, and
-integral input is worked on as Python ints, where every division is
-exact, so the backward pipeline does its arithmetic on ints.
+brute-force enumeration.  At order m every step is a closed form whose
+arithmetic runs on Python ints, where every division is exact; rational
+input is scaled to integers first and divided back once per
+coefficient.
 """
 
 from collections import defaultdict
@@ -25,8 +26,8 @@ from math import comb, lcm
 
 from .bijections import WeightAssignment, _rgs_weight_keys
 from .enumeration import PartitionClass, _iter_rgs_no_singletons, count
-from .partition import Partition, _rgs_cover
-from .series import Series, _lagrange, solve_fixpoint
+from .partition import Partition
+from .series import Series, _integral, _lagrange, solve_fixpoint
 
 _ZERO = Fraction(0)
 
@@ -49,14 +50,13 @@ def bell_series(order: int) -> Series:
 
 def _binomial(s: Series, sign: int) -> Series:
     """s(x / (1 - sign x)): [x^n] = sum_k C(n-1, k-1) sign^(n-k) s_k, n >= 1.
-    Integral coefficients are summed as ints."""
-    c = s.coeffs
-    if all(q.denominator == 1 for q in c):
-        c = [q.numerator for q in c]
+    The sums run on the ints den * s_k, den the lcm of the denominators,
+    and each is divided by den once."""
+    c, den = _integral(s.coeffs)
     out = [c[0]]
     for n in range(1, s.order + 1):
         out.append(sum(comb(n - 1, k - 1) * sign ** (n - k) * c[k] for k in range(1, n + 1)))
-    return Series(out, order=s.order)
+    return Series([Fraction(v, den) for v in out], order=s.order)
 
 
 def derive_c_from_d(d: Series) -> Series:
@@ -105,8 +105,31 @@ def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
     return b, c, d
 
 
-# Plans of this many ground-set sizes are kept, the most recently used.
+# Plans, and walks of singleton-free strings, of this many sizes are
+# kept, the most recently used.
 _PLANS_KEPT = 16
+
+
+@lru_cache(maxsize=_PLANS_KEPT)
+def _singleton_free_rows(m: int):
+    """The singleton-free partitions of m atoms as rows (keys, (a, b, c,
+    d)), one per distinct tuple of purely crossing keys: d counts them
+    all, c the connected ones among them, b and a the no-neighbor
+    connected and purely crossing ones.  Each string is walked once per
+    process, whichever plans need it."""
+    rows = defaultdict(lambda: [0, 0, 0, 0])
+    for rgs in _iter_rgs_no_singletons(m):
+        keys, whole = _rgs_weight_keys(rgs)
+        row = rows[keys]
+        row[3] += 1
+        if not whole or not rgs:  # the empty partition counts in d only
+            continue
+        row[2] += 1
+        if all(u != v for u, v in zip(rgs, rgs[1:])):
+            row[1] += 1
+            if rgs[-1] != 0:
+                row[0] += 1
+    return tuple((keys, tuple(counts)) for keys, counts in rows.items())
 
 
 @lru_cache(maxsize=_PLANS_KEPT)
@@ -116,29 +139,23 @@ def _transport_plan(n: int):
     no-neighbor connected, c connected and d arbitrary partitions of n
     atoms each weigh the product of ``w[key]`` over ``keys``.
 
-    Only singleton-free restricted-growth strings are walked.  A
-    singleton crosses nothing and contracts to the single atom, so it has
-    no key, and removing the singletons of a partition leaves its cover
-    pieces and keys unchanged.  The members of D with exactly m atoms in
+    The plan is put together from the singleton-free rows of every
+    length m <= n (:func:`_singleton_free_rows`).  A singleton crosses
+    nothing and contracts to the single atom, so it has no key, and
+    removing the singletons of a partition leaves its cover pieces and
+    keys unchanged.  The members of D with exactly m atoms in
     non-singleton blocks are the pairs (m-subset of [n], singleton-free
-    partition of [m]), so they are counted C(n, m) at a time rather than
-    walked: D_n[K] = sum_m C(n, m) SF_m[K].  A connected partition with
-    n >= 2 has no singleton, so A, B and C come from the walk of length
-    n; the single atom is connected, no-neighbor and keyless."""
+    partition of [m]), so D_n[K] = sum_m C(n, m) SF_m[K].  A connected
+    partition with n >= 2 has no singleton, so A, B and C are the rows of
+    length n; the single atom is connected, no-neighbor and keyless."""
     rows = defaultdict(lambda: [0, 0, 0, 0])
     for m in range(n + 1):
         ways = comb(n, m)
-        for rgs in _iter_rgs_no_singletons(m):
-            cover = _rgs_cover(rgs)
-            row = rows[_rgs_weight_keys(rgs, cover)]
-            row[3] += ways
-            if m < n or any(cover):
-                continue
-            row[2] += 1
-            if all(u != v for u, v in zip(rgs, rgs[1:])):
-                row[1] += 1
-                if rgs[-1] != 0:
-                    row[0] += 1
+        for keys, counts in _singleton_free_rows(m):
+            row = rows[keys]
+            if m == n:
+                row[:3] = counts[:3]
+            row[3] += ways * counts[3]
     if n == 1:
         rows[()][1:3] = [1, 1]
     partitions = {key: Partition.from_rgs(key) for keys in rows for key in keys}
@@ -154,12 +171,15 @@ def weighted_brute_coeffs(
     way: sum the transported weight of every member of each family.
 
     The sum runs over the transport plan of n, which counts how often each
-    tuple of purely crossing keys occurs in each family; members with
-    singleton blocks are counted through C(n, m) rather than walked (see
-    :func:`_transport_plan`).  The sum is taken on ints: every weight is
-    scaled by the lcm L of the weight denominators, a row of k keys by
-    L^(depth - k) more, depth being the most keys in a row, and each
-    coefficient is divided by L^depth once at the end."""
+    tuple of purely crossing keys occurs in each family.  Members with
+    singleton blocks are counted through C(n, m) rather than walked, and
+    every plan shares one walk per length of the singleton-free strings
+    (see :func:`_transport_plan`), so the first call for each size pays
+    for the walks and later weight assignments only for the sum.  The
+    sum is taken on ints: every weight is scaled by the lcm L of the
+    weight denominators, a row of k keys by L^(depth - k) more, depth
+    being the most keys in a row, and each coefficient is divided by
+    L^depth once at the end."""
     if n < 1:
         raise ValueError("n must be at least 1")
     plan = _transport_plan(n)

@@ -11,8 +11,7 @@ nothing ever extends an order.
 """
 
 from fractions import Fraction
-from math import lcm
-from operator import truediv
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -210,32 +209,35 @@ def _exact(num: int, den: int) -> int:
 def _lagrange(psi: Series, count: int, sign: int, h: Series | None = None) -> list:
     """[w^n] H(G) for n = 1 .. count, where G = x * psi(G)^sign, sign = +-1,
     and H = t when ``h`` is None.  By Lagrange-Buermann,
-    [w^n] H(G) = [t^(n-1)] H'(t) psi(t)^(sign n) / n.  Each p = psi^e comes
+    [w^n] H(G) = [t^(n-1)] H'(t) psi(t)^(sign n) / n.  Each p = phi^e comes
     from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7),
-    p_0 = psi_0^e and p_k = sum_{j=1..k} ((e + 1) j - k) psi_j p_{k-j} / (k psi_0),
+    p_0 = 1 and p_k = sum_{j=1..k} ((e + 1) j - k) phi_j p_{k-j} / k,
     which holds for negative e too: O(count^3) in all.
 
-    When psi_0 = 1 and psi and H are integral, so is every p and every
-    result, and the loop runs on ints with exact divisions, checked.
-    Otherwise it runs on Fractions.  ``psi`` needs psi_0 != 0, and psi
-    and ``h`` need terms through t^(count - 1) and t^count.
+    The loop runs on ints only, with exact divisions, checked.  With
+    a = psi_0, phi = psi / a and L the lcm of the denominators of phi and
+    H, the series phi(L t) and H(L t) are integral and phi(L t) has
+    constant term 1, so every p and every [w^n] of their pair is an
+    integer; the result is a^(sign n) times that over L^n.  ``psi`` needs
+    psi_0 != 0, and psi and ``h`` need terms through t^(count - 1) and
+    t^count.
     """
-    f = psi.coeffs
-    h = Series.x(count) if h is None else h
-    dh = h.derivative().coeffs
-    if f[0] == 1 and all(q.denominator == 1 for q in f + h.coeffs):
-        f, dh = [int(q) for q in f], [int(q) for q in dh]
-        div = _exact
-    else:
-        div = truediv
+    z, _ = _integral(psi.coeffs[: count + 1])  # phi = z / z_0
+    z0 = z[0]
+    hz, hden = _integral((Series.x(count) if h is None else h).coeffs[1 : count + 1])
+    scale = lcm(hden, *(abs(z0) // gcd(z0, v) for v in z))
+    f = [v * scale**k // z0 for k, v in enumerate(z)]
+    dh = [(i + 1) * v * (scale ** (i + 1) // hden) for i, v in enumerate(hz)]
+    lead = psi.coeffs[0] ** sign  # a^sign
     out = []
     for n in range(1, count + 1):
         e = sign * n
-        p = [f[0] ** e if e > 0 else div(1, f[0] ** -e)]
+        p = [1]
         for k in range(1, n):
             acc = sum(((e + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1))
-            p.append(div(acc, k * f[0]))
-        out.append(div(sum(dh[i] * p[n - 1 - i] for i in range(n)), n))
+            p.append(_exact(acc, k))
+        total = _exact(sum(dh[i] * p[n - 1 - i] for i in range(n)), n)
+        out.append(Fraction(lead.numerator**n * total, (lead.denominator * scale) ** n))
     return out
 
 

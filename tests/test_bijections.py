@@ -30,7 +30,6 @@ from purecross import (
 from purecross import bijections
 from purecross.bijections import _rgs_weight_keys
 from purecross.enumeration import _iter_rgs_plain
-from purecross.partition import _rgs_cover
 
 
 def compositions(n, parts):
@@ -367,17 +366,19 @@ class TestWeights:
 
     def test_rgs_keys_match_the_decompositions(self):
         # The rgs key kernel against cover_decompose -> contract ->
-        # pc_plus_decompose, one partition at a time.
+        # pc_plus_decompose, one partition at a time; the cover is whole
+        # exactly when the decomposition has one piece.
         for n in range(1, 10):
             for pi in iterate(n, PartitionClass.ALL):
+                pieces = cover_decompose(pi).pieces
                 expected = []
-                for piece in cover_decompose(pi).pieces:
+                for piece in pieces:
                     base, _ = contract(piece)
                     if base.n > 1:
                         expected.append(pc_plus_decompose(base).base.rgs)
-                got = _rgs_weight_keys(pi.rgs, _rgs_cover(pi.rgs))
-                assert got == tuple(sorted(expected)), pi
-        assert _rgs_weight_keys((), []) == ()
+                got = _rgs_weight_keys(pi.rgs)
+                assert got == (tuple(sorted(expected)), len(pieces) == 1), pi
+        assert _rgs_weight_keys(()) == ((), True)
 
     def test_singletons_carry_no_keys(self):
         # Dropping the singleton blocks and relabeling the other atoms in
@@ -388,9 +389,7 @@ class TestWeights:
                 kept = [v for v in rgs if rgs.count(v) > 1]
                 label = {}
                 reduced = [label.setdefault(v, len(label)) for v in kept]
-                assert _rgs_weight_keys(reduced, _rgs_cover(reduced)) == _rgs_weight_keys(
-                    rgs, _rgs_cover(rgs)
-                ), rgs
+                assert _rgs_weight_keys(reduced)[0] == _rgs_weight_keys(rgs)[0], rgs
 
     def test_key_caches_are_bounded(self):
         for cached in (

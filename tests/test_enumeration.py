@@ -1,5 +1,9 @@
 """Lexicographic iteration, counting, and the parallel counting path."""
 
+import multiprocessing
+import subprocess
+import sys
+
 import pytest
 
 from purecross import Partition, PartitionClass, count, enumeration, iterate, orbit_size
@@ -148,7 +152,8 @@ class _InlinePool:
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_worker_count_is_capped_by_usable_cpus(monkeypatch, affinity):
-    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    # count imports Pool from multiprocessing when it starts workers.
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(_InlinePool, "requested", [])
     if affinity:
         monkeypatch.setattr(
@@ -162,6 +167,14 @@ def test_worker_count_is_capped_by_usable_cpus(monkeypatch, affinity):
         assert count(9, cls, workers=500) == reference
         assert count(9, cls, workers=2) == reference
     assert _InlinePool.requested == [3, 2] * len(CLASSES)
+
+
+def test_importing_the_package_does_not_load_multiprocessing():
+    code = "import sys, purecross, purecross.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("n", [13, 14, 15])

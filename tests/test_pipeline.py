@@ -23,6 +23,8 @@ from purecross import (
     iterate,
     weighted_brute_coeffs,
 )
+from purecross import pipeline
+from purecross.bijections import _rgs_weight_keys
 from purecross.pipeline import _transport_plan
 
 from oracles import PUBLISHED_COUNTS, bell_brute, catalan
@@ -212,6 +214,30 @@ class TestWeightedBrute:
             sizes = tuple(sum(column) for column in columns)
             assert sizes == PUBLISHED_COUNTS[n], n
             assert sizes[3] == bell_brute(n), n
+
+    @staticmethod
+    def _fresh_plans(sizes):
+        pipeline._transport_plan.cache_clear()
+        pipeline._singleton_free_rows.cache_clear()
+        plans = {n: _transport_plan(n) for n in sizes}
+        return [plans[n] for n in range(1, 10)]
+
+    def test_each_singleton_free_string_is_walked_once(self, monkeypatch):
+        # 4,361 singleton-free strings have lengths 0..9 (OEIS A000296),
+        # and plans 1..9 share their walks.
+        calls = []
+
+        def counted(rgs):
+            calls.append(tuple(rgs))
+            return _rgs_weight_keys(rgs)
+
+        monkeypatch.setattr(pipeline, "_rgs_weight_keys", counted)
+        self._fresh_plans(range(1, 10))
+        assert len(calls) == len(set(calls)) == 4361
+
+    def test_plans_do_not_depend_on_build_order(self):
+        backwards = self._fresh_plans([9, *range(1, 9)])
+        assert self._fresh_plans(range(1, 10)) == backwards
 
     @staticmethod
     def _weight_sets():

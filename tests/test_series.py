@@ -1,5 +1,6 @@
 """Exact truncated power series: arithmetic, composition, inverses."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,16 +183,24 @@ class TestReversion:
             [0, 1, 0, 1, 0, 1],
             [0, Fraction(1, 2), Fraction(-1, 3), 0, 5],
             [0, 3, 1, Fraction(7, 2)],
-            # Integral: linear coefficient 1 runs the integer path, -1 and
-            # 2 fall back to Fractions.
+            # Integral: linear coefficient 1 needs no scaling; -1 and 2
+            # are taken out as a power of the linear coefficient.
             [0, 1, -7, 4, 0, 9, -3, 1, 8, -5, 2, 6, -1],
             [0, -1, 5, -2, 8, 0, 3, -9, 1, 4, -6, 2, 7],
             [0, 2, 3, -4, 1, 7, -8, 0, 5, -3, 9, -1, 6],
+            # Rational linear coefficients, and denominators that are
+            # primes near 10^4, so the scale is their product.
+            [0, Fraction(7, 3), Fraction(-5, 2), 4, Fraction(1, 9), 0, Fraction(-8, 7)],
+            [0, Fraction(-1, 2), Fraction(3, 4), Fraction(-2, 5), 1, Fraction(6, 7)],
+            [0, 3, Fraction(1, 9973), Fraction(-2, 10007), Fraction(5, 10009),
+             Fraction(-7, 10037), Fraction(11, 10039)],
         ]
-        for coeffs in cases:
-            f = Series(coeffs, order=12)
+        rnd = random.Random(29)
+        seeded = [0] + [Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 9)) for _ in range(30)]
+        for coeffs, order in [(c, 12) for c in cases] + [(seeded, 30)]:
+            f = Series(coeffs, order=order)
             expected = lagrange_reversion(
-                [Fraction(c) for c in f.coeffs], 12
+                [Fraction(c) for c in f.coeffs], order
             )
             assert list(f.reversion().coeffs) == expected
 
@@ -246,6 +255,18 @@ class TestFixpoint:
     def test_published_bell_from_connected(self):
         c = Series([0, 1, 1, 1, 2, 6, 21, 85])
         assert solve_fixpoint(c).coeffs == (1, 1, 2, 5, 15, 52, 203, 877)
+
+    def test_rational_input_satisfies_the_relation(self):
+        rnd = random.Random(31)
+        for _ in range(5):
+            c = Series(
+                [0] + [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(30)],
+                order=30,
+            )
+            d = solve_fixpoint(c)
+            x_d = Series([0] + list(d.coeffs[:30]), order=30)
+            assert d[0] == 1
+            assert c.compose(x_d) + 1 == d
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,13 @@ is deterministic: identical arguments and seed give byte-identical
 stdout.  Exit codes: 0 success, 1 verification or consistency failure,
 2 usage or input errors, 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as in ``purecross enumerate --n 9 | head -1``.
+
+The series commands take bounded work: ``table --max-n`` is at most 350
+and ``series --order`` at most 250, and a larger value exits 2.  Their
+cost grows about as the fourth power of the size, since the number of
+integer products is cubic and their digits grow with the size too.  At
+these limits each run takes a few seconds, with weights of small
+denominators for ``series``.
 """
 
 import argparse
@@ -27,6 +34,10 @@ from .series import Series, render_text
 from .verify import run_checks
 
 _CLASS_CHOICES = [cls.value for cls in PartitionClass]
+
+# Largest accepted sizes for the series commands (see the module docstring).
+_TABLE_MAX_N = 350
+_SERIES_MAX_ORDER = 250
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,6 +150,8 @@ def _cmd_count(args) -> int:
 def _cmd_table(args) -> int:
     if args.max_n < 1:
         return _fail("--max-n must be at least 1")
+    if args.max_n > _TABLE_MAX_N:
+        return _fail(f"--max-n must be at most {_TABLE_MAX_N}")
     if args.check_enum_up_to < 0:
         return _fail("--check-enum-up-to must be nonnegative")
     try:
@@ -156,6 +169,8 @@ def _cmd_table(args) -> int:
 def _cmd_series(args) -> int:
     if args.order < 1:
         return _fail("--order must be at least 1")
+    if args.order > _SERIES_MAX_ORDER:
+        return _fail(f"--order must be at most {_SERIES_MAX_ORDER}")
     order = args.order
     w = WeightAssignment()
     if args.weights is not None:

@@ -5,29 +5,31 @@ crossing, no-neighbor connected, connected, and arbitrary families, the
 decompositions in :mod:`purecross.bijections` force
 
 * ``B = x + (1 + x) * A``        (adjoin-last-atom split; O(m) backward),
-* ``C = B(x / (1 - x))``        (run inflation; a binomial transform, O(m^2)),
-* ``D = 1 + C(x * D)``          (gap decomposition; Lagrange-Buermann, O(m^3)).
+* ``C = B(x / (1 - x))``        (run inflation; Horner's rule, O(m^2) additions),
+* ``D = 1 + C(x * D)``          (gap decomposition; backward, a triangular solve
+  on the powers of D, m^3 / 6 products; forward, Lagrange inversion).
 
 The forward direction turns a weight series A into B, C, D.  The
 backward direction starts from the Bell-number series D of unweighted
 counts and recovers C, B, A exactly; :func:`counts_table` tabulates the
 four integer columns that fall out and can cross-check them against
-brute-force enumeration.  At order m every step is a closed form whose
-arithmetic runs on Python ints, where every division is exact; rational
-input is scaled to integers first and divided back once per
-coefficient.
+brute-force enumeration.  At order m every step runs on Python ints,
+where every division is exact; rational input is scaled to integers
+first and divided back once per coefficient.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, lcm
+from operator import mul
 
 from .bijections import WeightAssignment, _rgs_weight_keys
 from .enumeration import PartitionClass, _iter_rgs_no_singletons, count
 from .partition import Partition
-from .series import Series, _integral, _lagrange, solve_fixpoint
+from .series import Series, _integral, solve_fixpoint
 
 _ZERO = Fraction(0)
 
@@ -49,27 +51,52 @@ def bell_series(order: int) -> Series:
 
 
 def _binomial(s: Series, sign: int) -> Series:
-    """s(x / (1 - sign x)): [x^n] = sum_k C(n-1, k-1) sign^(n-k) s_k, n >= 1.
-    The sums run on the ints den * s_k, den the lcm of the denominators,
-    and each is divided by den once."""
-    c, den = _integral(s.coeffs)
-    out = [c[0]]
-    for n in range(1, s.order + 1):
-        out.append(sum(comb(n - 1, k - 1) * sign ** (n - k) * c[k] for k in range(1, n + 1)))
-    return Series([Fraction(v, den) for v in out], order=s.order)
+    """s(x / (1 - sign x)) by Horner's rule in y = x / (1 - x),
+    r <- s_k + y r for k = m .. 0.  Multiplying by y is a shift and a
+    running sum, and at step k only the terms through x^(m - k) reach
+    the result: O(m^2) additions, no products.  For sign -1, substituting
+    t = -x turns s(x / (1 + x)) into s(-y) at t, so the odd coefficients
+    change sign on the way in and on the way out.  The sums run on the
+    ints den * s_k, den the lcm of the denominators, and each is divided
+    by den once."""
+    z, den = _integral(s.coeffs)
+    if sign < 0:
+        z[1::2] = [-v for v in z[1::2]]
+    r = []
+    for v in reversed(z):
+        r = [v, *accumulate(r)]
+    if sign < 0:
+        r[1::2] = [-v for v in r[1::2]]
+    return Series([Fraction(v, den) for v in r], order=s.order)
 
 
 def derive_c_from_d(d: Series) -> Series:
-    """Invert the gap relation D = 1 + C(x D).  The reversion G of x D
-    solves G = w / D(G), and C(w) = D(G(w)) - 1, so by Lagrange-Buermann
-    c_n = [x^(n-1)] D'(x) D(x)^(-n) / n: one pass, no reversion and no
-    series inverse, on exact ints when d is integral.  The result has
-    order d.order - 1."""
+    """Invert the gap relation D = 1 + C(x D) by undetermined
+    coefficients.  Since d_n = sum_{k=1..n} c_k [x^(n-k)] D^k and the
+    k = n term is c_n itself, c_n = d_n - sum_{k<n} c_k [x^(n-k)] D^k.
+    One power row p = D^k, cut to degree m - k, is multiplied by D once
+    per k, and one accumulator row collects the sums: about m^3 / 6
+    products at order m.  With L the lcm of the denominators of d, D(L x)
+    is integral with constant term 1 and satisfies the same relation
+    with C(L x), so the loop runs on ints without a division and c_n is
+    its result over L^n.  The result has order d.order - 1."""
     if d.order < 1:
         raise ValueError("need order >= 1")
     if d[0] != 1:
         raise ValueError("constant term must be 1")
-    return Series([0] + _lagrange(d, d.order - 1, -1, h=d), order=d.order - 1)
+    m = d.order - 1
+    z, scale = _integral(d.coeffs[: m + 1])
+    dt = [1] + [v * scale ** (k - 1) for k, v in enumerate(z[1:], 1)]  # d_k L^k
+    acc = [0] * (m + 1)
+    p = dt[:m]  # D(L x)^k through x^(m-k), for k = 1
+    out = [_ZERO]
+    for k in range(1, m + 1):
+        ck = dt[k] - acc[k]
+        out.append(Fraction(ck, scale**k))
+        acc[k + 1 :] = [a + ck * v for a, v in zip(acc[k + 1 :], p[1:])]
+        # [x^i] p * D(L x); map stops where dt[i::-1] does, at p_i.
+        p = [sum(map(mul, p, dt[i::-1])) for i in range(m - k)]
+    return Series(out, order=m)
 
 
 def derive_b_from_c(c: Series) -> Series:

@@ -206,28 +206,24 @@ def _exact(num: int, den: int) -> int:
     return quotient
 
 
-def _lagrange(psi: Series, count: int, sign: int, h: Series | None = None) -> list:
-    """[w^n] H(G) for n = 1 .. count, where G = x * psi(G)^sign, sign = +-1,
-    and H = t when ``h`` is None.  By Lagrange-Buermann,
-    [w^n] H(G) = [t^(n-1)] H'(t) psi(t)^(sign n) / n.  Each p = phi^e comes
-    from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7),
-    p_0 = 1 and p_k = sum_{j=1..k} ((e + 1) j - k) phi_j p_{k-j} / k,
+def _lagrange(psi: Series, count: int, sign: int) -> list:
+    """[w^n] G for n = 1 .. count, where G = x * psi(G)^sign, sign = +-1.
+    By Lagrange inversion, [w^n] G = [t^(n-1)] psi(t)^(sign n) / n.  Each
+    p = phi^e comes from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    4.7), p_0 = 1 and p_k = sum_{j=1..k} ((e + 1) j - k) phi_j p_{k-j} / k,
     which holds for negative e too: O(count^3) in all.
 
     The loop runs on ints only, with exact divisions, checked.  With
-    a = psi_0, phi = psi / a and L the lcm of the denominators of phi and
-    H, the series phi(L t) and H(L t) are integral and phi(L t) has
-    constant term 1, so every p and every [w^n] of their pair is an
-    integer; the result is a^(sign n) times that over L^n.  ``psi`` needs
-    psi_0 != 0, and psi and ``h`` need terms through t^(count - 1) and
-    t^count.
+    a = psi_0, phi = psi / a and L the lcm of the denominators of phi,
+    the series phi(L t) is integral with constant term 1, so every p and
+    every p_(n-1) / n is an integer; the result is a^(sign n) times that
+    over L^(n-1).  ``psi`` needs psi_0 != 0 and terms through
+    t^(count - 1).
     """
     z, _ = _integral(psi.coeffs[: count + 1])  # phi = z / z_0
     z0 = z[0]
-    hz, hden = _integral((Series.x(count) if h is None else h).coeffs[1 : count + 1])
-    scale = lcm(hden, *(abs(z0) // gcd(z0, v) for v in z))
+    scale = lcm(*(abs(z0) // gcd(z0, v) for v in z))
     f = [v * scale**k // z0 for k, v in enumerate(z)]
-    dh = [(i + 1) * v * (scale ** (i + 1) // hden) for i, v in enumerate(hz)]
     lead = psi.coeffs[0] ** sign  # a^sign
     out = []
     for n in range(1, count + 1):
@@ -236,8 +232,8 @@ def _lagrange(psi: Series, count: int, sign: int, h: Series | None = None) -> li
         for k in range(1, n):
             acc = sum(((e + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1))
             p.append(_exact(acc, k))
-        total = _exact(sum(dh[i] * p[n - 1 - i] for i in range(n)), n)
-        out.append(Fraction(lead.numerator**n * total, (lead.denominator * scale) ** n))
+        total = _exact(p[n - 1], n)
+        out.append(Fraction(lead.numerator**n * total, lead.denominator**n * scale ** (n - 1)))
     return out
 
 

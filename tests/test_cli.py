@@ -139,6 +139,13 @@ class TestTable:
             "16f8b37f4b8348b05f0c6d395ac2ff9d4a465fb1f58b5a12821a6082cf56215e"
         )
 
+    def test_max_n_200_is_golden(self, capsys):
+        code, out, _ = invoke(capsys, "table", "--max-n", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9f0e46c73e0bedda4f47cb8435a00f2d80a28a856fed8d3b704ff19840c7485f"
+        )
+
 
 class TestSeries:
     def test_connected_plain(self, capsys):
@@ -286,8 +293,10 @@ EXIT_CODES = [
     (["table", "--max-n", "4", "--check-enum-up-to", "4"], 1, _miscount),
     (["table", "--max-n", "0"], 2, None),
     (["table", "--max-n", "4", "--check-enum-up-to", "-1"], 2, None),
+    (["table", "--max-n", "351"], 2, None),
     (["series", "--which", "A", "--order", "5"], 0, None),
     (["series", "--which", "A", "--order", "0"], 2, None),
+    (["series", "--which", "A", "--order", "251"], 2, None),
     (["series", "--which", "E"], 2, None),
     (["verify", "--max-n", "3", "--weighted-trials", "1"], 0, None),
     (["verify"], 1, _failing_check),
@@ -308,6 +317,17 @@ def test_exit_code_table(capsys, monkeypatch, argv, expected, sabotage):
 
 def test_exit_code_table_covers_every_subcommand():
     assert {argv[0] for argv, _, _ in EXIT_CODES} == set(cli_module._HANDLERS)
+
+
+def test_size_limits_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "_TABLE_MAX_N", 3)
+    monkeypatch.setattr(cli_module, "_SERIES_MAX_ORDER", 3)
+    assert invoke(capsys, "table", "--max-n", "3")[0] == 0
+    code, out, err = invoke(capsys, "table", "--max-n", "4")
+    assert (code, out) == (2, "") and "at most 3" in err
+    assert invoke(capsys, "series", "--which", "D", "--order", "3")[0] == 0
+    code, out, err = invoke(capsys, "series", "--which", "D", "--order", "4")
+    assert (code, out) == (2, "") and "at most 3" in err
 
 
 class TestUsage:

@@ -21,6 +21,7 @@ from purecross import (
     derive_c_from_d,
     forward_weighted,
     iterate,
+    solve_fixpoint,
     weighted_brute_coeffs,
 )
 from purecross import pipeline
@@ -108,14 +109,35 @@ class TestBackwardPipeline:
     def test_gap_relation_on_bell_series(self):
         assert self._gap_relation_holds(bell_series(61))
 
-    def test_gap_relation_on_rational_input(self):
+    @staticmethod
+    def _seeded_rational_d():
         rnd = random.Random(23)
-        for _ in range(5):
-            d = Series(
+        return [
+            Series(
                 [1] + [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(15)],
                 order=15,
             )
+            for _ in range(5)
+        ]
+
+    # Denominators that differ by degree, so D(L x) needs the powers of L.
+    _STAGGERED_D = Series([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)], order=4)
+
+    def test_gap_relation_on_rational_input(self):
+        for d in self._seeded_rational_d() + [self._STAGGERED_D]:
             assert self._gap_relation_holds(d)
+
+    def test_staggered_denominators(self):
+        # c_1 = d_1, c_2 = d_2 - c_1 d_1, c_3 = d_3 - c_1 d_2 - 2 c_2 d_1.
+        c = derive_c_from_d(self._STAGGERED_D)
+        assert c.coeffs == (0, Fraction(1, 2), Fraction(1, 12), Fraction(-3, 28))
+
+    def test_fixpoint_undoes_step_c(self):
+        # Step C solves the gap relation term by term and solve_fixpoint
+        # runs the Lagrange kernel, so the two check each other.
+        for d in [bell_series(101), self._STAGGERED_D] + self._seeded_rational_d():
+            c = derive_c_from_d(d)
+            assert solve_fixpoint(c) == d.truncate(c.order)
 
     def test_coefficients_stay_integral(self):
         d = bell_series(16)

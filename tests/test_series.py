@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from purecross import Series, render_text, solve_fixpoint
-from purecross.series import _exact, _lagrange
+from purecross.series import _exact
 
 from oracles import catalan, lagrange_reversion
 
@@ -235,11 +235,6 @@ class TestLagrangeKernel:
         assert _exact(-12, 4) == -3
         with pytest.raises(ArithmeticError):
             _exact(7, 2)
-
-    def test_integral_derivative_alone_keeps_fractions(self):
-        # H = t^2 / 2 has an integral derivative, but [w^2] H(w) = 1/2.
-        h = Series([0, 0, Fraction(1, 2)], order=3)
-        assert _lagrange(Series.one(3), 3, 1, h=h) == [0, Fraction(1, 2), 0]
 
 
 class TestFixpoint:

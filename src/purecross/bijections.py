@@ -33,8 +33,8 @@ from .partition import Partition, _rgs_roots
 
 _ONE = Fraction(1)
 
-# Entries kept by each per-partition weight-key cache, the most recently
-# used: room for all 26,442 partitions with n <= 9, bounded for any sweep.
+# Entries kept by the weight-key cache, the most recently used: room for
+# all 26,442 partitions with n <= 9, bounded for any sweep.
 _KEYS_KEPT = 1 << 16
 
 
@@ -311,23 +311,6 @@ class WeightAssignment:
         return cls(entries)
 
 
-@lru_cache(maxsize=_KEYS_KEPT)
-def _pc_plus_weight_key(pi):
-    # The purely crossing partition whose assigned weight this member
-    # reads, or None for the fixed weight 1 of the single atom.
-    if pi.n == 1:
-        if not pi.is_pc_plus():
-            raise ValueError(f"{pi} is not in the no-neighbor connected family")
-        return None
-    return pc_plus_decompose(pi).base
-
-
-@lru_cache(maxsize=_KEYS_KEPT)
-def _connected_weight_key(pi):
-    base, _ = contract(pi)
-    return _pc_plus_weight_key(base)
-
-
 def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The purely crossing keys whose weights multiply to the weight of
     the partition with restricted-growth string ``rgs``, sorted, each as
@@ -364,28 +347,37 @@ def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
 
 
 @lru_cache(maxsize=_KEYS_KEPT)
-def _partition_weight_keys(pi):
-    keys, _ = _rgs_weight_keys(pi.rgs)
-    return tuple(Partition.from_rgs(key) for key in keys)
+def _weight_keys(rgs):
+    # Keyed by the rgs tuple, which hashes and compares in C.
+    keys, whole = _rgs_weight_keys(rgs)
+    return tuple(Partition.from_rgs(key) for key in keys), whole
+
+
+def _product(keys, w):
+    result = _ONE
+    for key in keys:
+        result *= w[key]
+    return result
 
 
 def pc_plus_weight(pi: Partition, w: WeightAssignment) -> Fraction:
     """Weight of a no-neighbor connected partition: 1 for the single atom,
     otherwise the assigned weight of its purely crossing base."""
-    key = _pc_plus_weight_key(pi)
-    return _ONE if key is None else w[key]
+    keys, whole = _weight_keys(pi.rgs)
+    if pi.n < 1 or not whole or pi.has_neighbors():
+        raise ValueError(f"{pi} is not in the no-neighbor connected family")
+    return _product(keys, w)
 
 
 def connected_weight(pi: Partition, w: WeightAssignment) -> Fraction:
     """Weight of a connected partition: the weight of its contracted base."""
-    key = _connected_weight_key(pi)
-    return _ONE if key is None else w[key]
+    keys, whole = _weight_keys(pi.rgs)
+    if pi.n < 1 or not whole:
+        raise ValueError(f"{pi} is not connected")
+    return _product(keys, w)
 
 
 def partition_weight(pi: Partition, w: WeightAssignment) -> Fraction:
     """Weight of an arbitrary partition: the product over its cover pieces;
     the empty partition weighs 1."""
-    result = _ONE
-    for key in _partition_weight_keys(pi):
-        result *= w[key]
-    return result
+    return _product(_weight_keys(pi.rgs)[0], w)

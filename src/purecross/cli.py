@@ -6,12 +6,19 @@ stdout.  Exit codes: 0 success, 1 verification or consistency failure,
 2 usage or input errors, 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as in ``purecross enumerate --n 9 | head -1``.
 
-The series commands take bounded work: ``table --max-n`` is at most 350
-and ``series --order`` at most 250, and a larger value exits 2.  Their
-cost grows about as the fourth power of the size, since the number of
-integer products is cubic and their digits grow with the size too.  At
-these limits each run takes a few seconds, with weights of small
-denominators for ``series``.
+Every command takes bounded work, and a size above its limit exits 2.
+``enumerate --n``, ``count --n`` and ``verify --max-n`` are at most 12;
+on 2 CPUs, ``enumerate --n 12`` (4,213,597 lines) took 75 s, ``count
+--n 12 --class co`` 22 s and ``verify --max-n 12`` 45 s, against 142 s
+for ``count --n 13 --class co --workers 2`` and 79 s for ``verify
+--max-n 13``.
+``table --max-n`` is at most 350 and ``series --order`` at most 250.
+Their cost grows about as the fourth power of the size, since the number
+of integer products is cubic and their digits grow with the size too;
+at these limits each run takes a few seconds.  ``series`` time also
+grows with the size of the weights' common denominator: at order 100,
+``series --which D`` took 0.19 s with denominators 2, 13 and 9 against
+3.77 s with two denominators near 10^23.
 """
 
 import argparse
@@ -35,9 +42,12 @@ from .verify import run_checks
 
 _CLASS_CHOICES = [cls.value for cls in PartitionClass]
 
-# Largest accepted sizes for the series commands (see the module docstring).
+# Largest accepted sizes (see the module docstring).
 _TABLE_MAX_N = 350
 _SERIES_MAX_ORDER = 250
+_ENUMERATE_MAX_N = 12
+_COUNT_MAX_N = 12
+_VERIFY_MAX_N = 12
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,6 +108,16 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _bad_size(flag: str, value: int, limit: int):
+    """Exit code 2, with a message, for a size below 1 or above ``limit``;
+    None for a size in range."""
+    if value < 1:
+        return _fail(f"{flag} must be at least 1")
+    if value > limit:
+        return _fail(f"{flag} must be at most {limit}")
+    return None
+
+
 def _fail_parse(exc: ParseError) -> int:
     print("error: invalid partition text", file=sys.stderr)
     print(f"  {exc.text}", file=sys.stderr)
@@ -127,11 +147,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 1:
-        return _fail("--n must be at least 1")
+    if code := _bad_size("--n", args.n, _ENUMERATE_MAX_N):
+        return code
     members = iterate(args.n, PartitionClass(args.cls))
     if args.format == "json":
-        print(json.dumps([str(pi) for pi in members]))
+        # The bytes of json.dumps on the list, written one member at a
+        # time so that memory stays flat.
+        sep = "["
+        for pi in members:
+            print(f'{sep}"{pi}"', end="")
+            sep = ", "
+        print("[]" if sep == "[" else "]")
     else:
         for pi in members:
             print(pi)
@@ -139,8 +165,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.n < 1:
-        return _fail("--n must be at least 1")
+    if code := _bad_size("--n", args.n, _COUNT_MAX_N):
+        return code
     if args.workers < 1:
         return _fail("--workers must be at least 1")
     print(count(args.n, PartitionClass(args.cls), workers=args.workers))
@@ -148,10 +174,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.max_n < 1:
-        return _fail("--max-n must be at least 1")
-    if args.max_n > _TABLE_MAX_N:
-        return _fail(f"--max-n must be at most {_TABLE_MAX_N}")
+    if code := _bad_size("--max-n", args.max_n, _TABLE_MAX_N):
+        return code
     if args.check_enum_up_to < 0:
         return _fail("--check-enum-up-to must be nonnegative")
     try:
@@ -167,10 +191,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.order < 1:
-        return _fail("--order must be at least 1")
-    if args.order > _SERIES_MAX_ORDER:
-        return _fail(f"--order must be at most {_SERIES_MAX_ORDER}")
+    if code := _bad_size("--order", args.order, _SERIES_MAX_ORDER):
+        return code
     order = args.order
     w = WeightAssignment()
     if args.weights is not None:
@@ -189,8 +211,8 @@ def _cmd_series(args) -> int:
         if pi.n <= order:
             coeffs[pi.n] += weight - 1
     a = Series(coeffs, order=order)
-    b, c, d = forward_weighted(a)
-    chosen = {"A": a, "B": b, "C": c, "D": d}[args.which]
+    # B, C and D come from the forward pass, which A does not need.
+    chosen = a if args.which == "A" else forward_weighted(a)["BCD".index(args.which)]
     if args.format == "json":
         print(json.dumps([str(v) for v in chosen.coeffs]))
     elif args.format == "tsv":
@@ -202,8 +224,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n < 1:
-        return _fail("--max-n must be at least 1")
+    if code := _bad_size("--max-n", args.max_n, _VERIFY_MAX_N):
+        return code
     if args.weighted_trials < 1:
         return _fail("--weighted-trials must be at least 1")
     if args.workers < 1:

@@ -161,31 +161,31 @@ def _nc_extend(rgs, i, n, stack, blocks):
     yield from _nc_extend(rgs, i + 1, n, stack + [blocks], blocks + 1)
 
 
+def _rgs_purely_crossing(rgs):
+    return rgs[-1] != 0 and _rgs_connected(rgs)
+
+
+# Each family as (walker, accept): the walker streams candidate strings in
+# lexicographic order and ``accept`` keeps the members (None keeps all).
+_FAMILIES = {
+    PartitionClass.ALL: (_iter_rgs_plain, None),
+    PartitionClass.NONCROSSING: (_iter_rgs_noncrossing, None),
+    PartitionClass.CONNECTED: (_iter_rgs_plain, _rgs_connected),
+    PartitionClass.PC_PLUS: (_iter_rgs_no_neighbors, _rgs_connected),
+    PartitionClass.PURELY_CROSSING: (_iter_rgs_no_neighbors, _rgs_purely_crossing),
+}
+
+
+def _members(n, cls, prefix=()):
+    walk, accept = _FAMILIES[cls]
+    strings = walk(n, prefix)
+    return strings if accept is None else filter(accept, strings)
+
+
 def _count_serial(n, cls, prefix=()):
     total = 0
-    if cls is PartitionClass.ALL:
-        for _ in _iter_rgs_plain(n, prefix):
-            total += 1
-    elif cls is PartitionClass.NONCROSSING:
-        for _ in _iter_rgs_noncrossing(n, prefix):
-            total += 1
-    elif cls is PartitionClass.CONNECTED:
-        connected = _rgs_connected
-        for rgs in _iter_rgs_plain(n, prefix):
-            if connected(rgs):
-                total += 1
-    elif cls is PartitionClass.PC_PLUS:
-        connected = _rgs_connected
-        for rgs in _iter_rgs_no_neighbors(n, prefix):
-            if connected(rgs):
-                total += 1
-    elif cls is PartitionClass.PURELY_CROSSING:
-        connected = _rgs_connected
-        for rgs in _iter_rgs_no_neighbors(n, prefix):
-            if rgs[-1] != 0 and connected(rgs):
-                total += 1
-    else:
-        raise ValueError(f"unknown partition class {cls!r}")
+    for _ in _members(n, cls, prefix):
+        total += 1
     return total
 
 
@@ -195,43 +195,12 @@ def _count_chunk(args):
     return sum(_count_serial(n, cls, prefix) for prefix in prefixes)
 
 
-def _prefixes(n, cls, length):
-    if cls in (PartitionClass.PC_PLUS, PartitionClass.PURELY_CROSSING):
-        gen = _iter_rgs_no_neighbors(length)
-    elif cls is PartitionClass.NONCROSSING:
-        gen = _iter_rgs_noncrossing(length)
-    else:
-        gen = _iter_rgs_plain(length)
-    return [tuple(p) for p in gen]
-
-
 def iterate(n, cls=PartitionClass.ALL):
     """Yield the members of the family in lexicographic rgs order."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    cls = PartitionClass(cls)
-    return _iterate(n, cls)
-
-
-def _iterate(n, cls):
-    if cls is PartitionClass.ALL:
-        for rgs in _iter_rgs_plain(n):
-            yield Partition.from_rgs(rgs)
-    elif cls is PartitionClass.NONCROSSING:
-        for rgs in _iter_rgs_noncrossing(n):
-            yield Partition.from_rgs(rgs)
-    elif cls is PartitionClass.CONNECTED:
-        for rgs in _iter_rgs_plain(n):
-            if _rgs_connected(rgs):
-                yield Partition.from_rgs(rgs)
-    elif cls is PartitionClass.PC_PLUS:
-        for rgs in _iter_rgs_no_neighbors(n):
-            if _rgs_connected(rgs):
-                yield Partition.from_rgs(rgs)
-    else:
-        for rgs in _iter_rgs_no_neighbors(n):
-            if rgs[-1] != 0 and _rgs_connected(rgs):
-                yield Partition.from_rgs(rgs)
+    members = _members(n, PartitionClass(cls))
+    return (Partition.from_rgs(rgs) for rgs in members)
 
 
 def _usable_cpus():
@@ -257,8 +226,8 @@ def count(n, cls=PartitionClass.ALL, workers=1):
     workers = min(workers, _usable_cpus())
     if workers == 1 or n < _PARALLEL_MIN_N:
         return _count_serial(n, cls)
-    length = min(_PREFIX_LEN, n - 2)
-    prefixes = _prefixes(n, cls, length)
+    walk, _ = _FAMILIES[cls]
+    prefixes = [tuple(p) for p in walk(min(_PREFIX_LEN, n - 2))]
     chunks = [prefixes[w::workers] for w in range(workers)]
     chunks = [c for c in chunks if c]
     # Imported here: a serial count, and every other subcommand, should

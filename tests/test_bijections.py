@@ -329,10 +329,29 @@ class TestWeights:
 
     def test_weight_errors(self):
         w = self.example_assignment()
-        with pytest.raises(ValueError):
-            pc_plus_weight(Partition.whole(2), w)
-        with pytest.raises(ValueError):
-            connected_weight(Partition.singletons(2), w)
+        for pi in (Partition.whole(2), Partition.parse("1,2,4|3,5"), Partition.empty()):
+            with pytest.raises(ValueError):
+                pc_plus_weight(pi, w)
+        for pi in (Partition.singletons(2), Partition.empty()):
+            with pytest.raises(ValueError):
+                connected_weight(pi, w)
+
+    def test_weights_raise_exactly_outside_their_families(self):
+        # The empty partition belongs to no family, though it is vacuously
+        # connected.
+        w = self.example_assignment()
+        sweep = [Partition.empty()] + [pi for n in range(1, 10) for pi in iterate(n)]
+        for weight, member in (
+            (connected_weight, lambda pi: pi.n >= 1 and pi.is_connected()),
+            (pc_plus_weight, Partition.is_pc_plus),
+        ):
+            for pi in sweep:
+                try:
+                    weight(pi, w)
+                    raised = False
+                except ValueError:
+                    raised = True
+                assert raised != member(pi), (weight.__name__, pi)
 
     def _random_assignment(self, rnd, max_n=7):
         support = [
@@ -392,13 +411,17 @@ class TestWeights:
                 assert _rgs_weight_keys(reduced)[0] == _rgs_weight_keys(rgs)[0], rgs
 
     def test_key_caches_are_bounded(self):
-        for cached in (
-            bijections._pc_plus_weight_key,
-            bijections._connected_weight_key,
-            bijections._partition_weight_keys,
-        ):
-            maxsize = cached.cache_info().maxsize
-            assert maxsize is not None and maxsize > 0, cached
+        # One bounded cache, keyed by the rgs, serves all three weight
+        # functions; an entry cached by partition_weight does not let the
+        # others skip their membership checks.
+        assert bijections._weight_keys.cache_info().maxsize == 1 << 16
+        w = self.example_assignment()
+        for pi in (Partition.parse("1,2,4|3,5"), Partition.empty()):
+            partition_weight(pi, w)
+            with pytest.raises(ValueError):
+                pc_plus_weight(pi, w)
+        with pytest.raises(ValueError):
+            connected_weight(Partition.empty(), w)
 
     def test_inflation_preserves_weight(self):
         rnd = random.Random(11)

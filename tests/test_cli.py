@@ -248,6 +248,22 @@ class TestSeries:
         )
         assert (code, out) == (2, "") and "bad weights file" in err
 
+    def test_which_a_skips_the_forward_pass(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text('[{"partition": "1,3|2,4", "weight": "7/2"}]', encoding="utf-8")
+        calls = [
+            ("series", "--which", "A", "--order", "12", *extra)
+            for extra in ((), ("--weights", str(path)))
+        ]
+        expected = [invoke(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in expected] == [0, 0]
+
+        def forward_weighted(a):
+            raise AssertionError("series --which A ran the forward pass")
+
+        monkeypatch.setattr(cli_module, "forward_weighted", forward_weighted)
+        assert [invoke(capsys, *argv) for argv in calls] == expected
+
     def test_bad_order(self, capsys):
         assert invoke(capsys, "series", "--which", "A", "--order", "0")[0] == 2
 
@@ -286,9 +302,11 @@ EXIT_CODES = [
     (["enumerate", "--n", "3"], 0, None),
     (["enumerate", "--n", "0"], 2, None),
     (["enumerate"], 2, None),
+    (["enumerate", "--n", "13"], 2, None),
     (["count", "--n", "4", "--class", "pc"], 0, None),
     (["count", "--n", "4", "--workers", "0"], 2, None),
     (["count", "--n", "x"], 2, None),
+    (["count", "--n", "13"], 2, None),
     (["table", "--max-n", "4", "--check-enum-up-to", "4"], 0, None),
     (["table", "--max-n", "4", "--check-enum-up-to", "4"], 1, _miscount),
     (["table", "--max-n", "0"], 2, None),
@@ -301,6 +319,7 @@ EXIT_CODES = [
     (["verify", "--max-n", "3", "--weighted-trials", "1"], 0, None),
     (["verify"], 1, _failing_check),
     (["verify", "--max-n", "0"], 2, None),
+    (["verify", "--max-n", "13"], 2, None),
 ]
 
 
@@ -320,14 +339,19 @@ def test_exit_code_table_covers_every_subcommand():
 
 
 def test_size_limits_are_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(cli_module, "_TABLE_MAX_N", 3)
-    monkeypatch.setattr(cli_module, "_SERIES_MAX_ORDER", 3)
-    assert invoke(capsys, "table", "--max-n", "3")[0] == 0
-    code, out, err = invoke(capsys, "table", "--max-n", "4")
-    assert (code, out) == (2, "") and "at most 3" in err
-    assert invoke(capsys, "series", "--which", "D", "--order", "3")[0] == 0
-    code, out, err = invoke(capsys, "series", "--which", "D", "--order", "4")
-    assert (code, out) == (2, "") and "at most 3" in err
+    limits = ("_TABLE_MAX_N", "_SERIES_MAX_ORDER", "_ENUMERATE_MAX_N", "_COUNT_MAX_N", "_VERIFY_MAX_N")
+    for limit in limits:
+        monkeypatch.setattr(cli_module, limit, 3)
+    for argv in (
+        ("table", "--max-n"),
+        ("series", "--which", "D", "--order"),
+        ("enumerate", "--n"),
+        ("count", "--n"),
+        ("verify", "--weighted-trials", "1", "--max-n"),
+    ):
+        assert invoke(capsys, *argv, "3")[0] == 0, argv
+        code, out, err = invoke(capsys, *argv, "4")
+        assert (code, out) == (2, "") and "at most 3" in err, argv
 
 
 class TestUsage:

@@ -124,14 +124,6 @@ class Series:
             raise ValueError("cannot shift down an order-0 series")
         return Series(self.coeffs[1:], order=self.order - 1)
 
-    def derivative(self) -> "Series":
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 series")
-        return Series(
-            [k * self.coeffs[k] for k in range(1, self.order + 1)],
-            order=self.order - 1,
-        )
-
     # -- composition and inverses -------------------------------------
 
     def compose(self, inner: "Series") -> "Series":

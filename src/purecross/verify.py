@@ -269,6 +269,15 @@ def check_series_ring_laws(ctx):
     return None
 
 
+# The family of each count column of the table, after n.
+_COLUMNS = (
+    PartitionClass.PURELY_CROSSING,
+    PartitionClass.PC_PLUS,
+    PartitionClass.CONNECTED,
+    PartitionClass.ALL,
+)
+
+
 def check_pipelines_inverse(ctx):
     d = bell_series(16)
     c = derive_c_from_d(d)
@@ -280,13 +289,18 @@ def check_pipelines_inverse(ctx):
     if solve_fixpoint(c) != d.truncate(15):
         return "fixpoint solution disagrees with the Bell series"
     try:
-        counts_table(
-            min(ctx.max_n + 3, 12),
-            check_enum_up_to=min(ctx.max_n, 9),
-            workers=ctx.workers,
-        )
+        rows = counts_table(min(ctx.max_n + 3, 12)).rows
     except RuntimeError as exc:
         return str(exc)
+    for n in range(1, min(ctx.max_n, 9) + 1):
+        row = rows[n - 1]
+        for col, cls in enumerate(_COLUMNS, start=1):
+            got = count(n, cls)
+            if got != row[col]:
+                return (
+                    f"enumeration disagrees with the series pipeline at "
+                    f"n={n}, class={cls.value}: counted {got}, series says {row[col]}"
+                )
     return None
 
 
@@ -314,16 +328,15 @@ CHECKS = (
 
 
 class VerifyContext:
-    def __init__(self, max_n=7, trials=20, seed=0, workers=1):
+    def __init__(self, max_n=7, trials=20, seed=0):
         self.max_n = max_n
         self.trials = trials
         self.seed = seed
-        self.workers = workers
 
 
-def run_checks(max_n=7, trials=20, seed=0, workers=1, out=print) -> bool:
+def run_checks(max_n=7, trials=20, seed=0, out=print) -> bool:
     """Run every check; print one line each; True iff all pass."""
-    ctx = VerifyContext(max_n=max_n, trials=trials, seed=seed, workers=workers)
+    ctx = VerifyContext(max_n=max_n, trials=trials, seed=seed)
     failures = 0
     for name, func in CHECKS:
         problem = func(ctx)

@@ -11,6 +11,7 @@ import pytest
 
 from purecross import (
     PartitionClass,
+    Series,
     WeightAssignment,
     iterate,
     weighted_brute_coeffs,
@@ -121,13 +122,6 @@ class TestTable:
         code, out, _ = invoke(capsys, "table", "--max-n", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)[1] == {"n": 2, "pc": 0, "pc_plus": 0, "co": 1, "all": 2}
-
-    def test_with_enumeration_cross_check(self, capsys):
-        code, out, _ = invoke(
-            capsys, "table", "--max-n", "6", "--check-enum-up-to", "6"
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 7
 
     def test_bad_max_n(self, capsys):
         assert invoke(capsys, "table", "--max-n", "0")[0] == 2
@@ -284,17 +278,52 @@ class TestVerify:
         assert run(["verify"]) == 1
         capsys.readouterr()
 
+    def test_table_check_reports_a_miscount(self, monkeypatch):
+        _miscount(monkeypatch)
+        problem = verify_module.check_pipelines_inverse(verify_module.VerifyContext(max_n=4))
+        assert problem == (
+            "enumeration disagrees with the series pipeline at n=1, class=pc: "
+            "counted -1, series says 0"
+        )
+
+    def test_table_check_reports_a_non_integer_count(self, monkeypatch):
+        _non_integer_count(monkeypatch)
+        problem = verify_module.check_pipelines_inverse(verify_module.VerifyContext(max_n=4))
+        assert problem == "count coefficient 1/2 is not an integer"
+
 
 def _miscount(monkeypatch):
     # Enumeration that contradicts the series pipeline.
-    monkeypatch.setattr(pipeline_module, "count", lambda n, cls, workers=1: -1)
+    monkeypatch.setattr(verify_module, "count", lambda n, cls, workers=1: -1)
+
+
+def _non_integer_count(monkeypatch):
+    # A series pipeline whose purely crossing column is not integral.
+    monkeypatch.setattr(
+        pipeline_module, "derive_a_from_b", lambda b: Series([Fraction(1, 2)] * (b.order + 1))
+    )
+
+
+def _weights_file(*weights):
+    """Write w.json into the working directory: the given weights on
+    1,3|2,4 (n = 4) and 1,3,5|2,4,6 (n = 6), in that order."""
+
+    def prepare(monkeypatch):
+        entries = zip(("1,3|2,4", "1,3,5|2,4,6"), weights)
+        with open("w.json", "w", encoding="utf-8") as handle:
+            json.dump([{"partition": pi, "weight": q} for pi, q in entries], handle)
+
+    return prepare
+
+
+_WEIGHTED_D = ["series", "--which", "D", "--weights", "w.json", "--order"]
 
 
 def _failing_check(monkeypatch):
     monkeypatch.setattr(verify_module, "CHECKS", (("always fails", lambda ctx: "broken"),))
 
 
-# 0 success, 1 verification or cross-check failure, 2 bad argument or input.
+# 0 success, 1 verification or consistency failure, 2 bad argument or input.
 EXIT_CODES = [
     (["classify", "1,3|2,4"], 0, None),
     (["classify", "1,3"], 2, None),
@@ -307,30 +336,38 @@ EXIT_CODES = [
     (["count", "--n", "4", "--workers", "0"], 2, None),
     (["count", "--n", "x"], 2, None),
     (["count", "--n", "13"], 2, None),
-    (["table", "--max-n", "4", "--check-enum-up-to", "4"], 0, None),
-    (["table", "--max-n", "4", "--check-enum-up-to", "4"], 1, _miscount),
+    (["table", "--max-n", "4"], 1, _non_integer_count),
     (["table", "--max-n", "0"], 2, None),
+    (["table", "--max-n", "4", "--check-enum-up-to", "4"], 2, None),
     (["table", "--max-n", "4", "--check-enum-up-to", "-1"], 2, None),
     (["table", "--max-n", "351"], 2, None),
     (["series", "--which", "A", "--order", "5"], 0, None),
     (["series", "--which", "A", "--order", "0"], 2, None),
     (["series", "--which", "A", "--order", "251"], 2, None),
     (["series", "--which", "E"], 2, None),
+    # The lcm of the denominators reaching the series has at most 6 digits;
+    # the weight on n = 6 reaches order 6 but not order 5.
+    ([*_WEIGHTED_D, "6"], 0, _weights_file("1/999999")),
+    ([*_WEIGHTED_D, "6"], 2, _weights_file("1/1000", "1/1001")),
+    ([*_WEIGHTED_D, "5"], 0, _weights_file("1/1000", "1/1001")),
     (["verify", "--max-n", "3", "--weighted-trials", "1"], 0, None),
     (["verify"], 1, _failing_check),
+    (["verify", "--max-n", "4", "--weighted-trials", "1"], 1, _miscount),
     (["verify", "--max-n", "0"], 2, None),
     (["verify", "--max-n", "13"], 2, None),
+    (["verify", "--workers", "2"], 2, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, expected, sabotage",
+    "argv, expected, prepare",
     EXIT_CODES,
     ids=[f"{' '.join(argv)}->{code}" for argv, code, _ in EXIT_CODES],
 )
-def test_exit_code_table(capsys, monkeypatch, argv, expected, sabotage):
-    if sabotage is not None:
-        sabotage(monkeypatch)
+def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, expected, prepare):
+    monkeypatch.chdir(tmp_path)
+    if prepare is not None:
+        prepare(monkeypatch)
     assert invoke(capsys, *argv)[0] == expected
 
 
@@ -338,7 +375,14 @@ def test_exit_code_table_covers_every_subcommand():
     assert {argv[0] for argv, _, _ in EXIT_CODES} == set(cli_module._HANDLERS)
 
 
-def test_size_limits_are_inclusive(capsys, monkeypatch):
+def test_size_limits_are_inclusive(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_module, "_SERIES_MAX_DEN_DIGITS", 3)
+    _weights_file("1/100", "1/250")(monkeypatch)  # lcm 500, product 25000
+    assert invoke(capsys, *_WEIGHTED_D, "6")[0] == 0
+    _weights_file("1/8", "1/125")(monkeypatch)  # lcm 1000
+    code, out, err = invoke(capsys, *_WEIGHTED_D, "6")
+    assert (code, out) == (2, "") and "at most 3 digits" in err
     limits = ("_TABLE_MAX_N", "_SERIES_MAX_ORDER", "_ENUMERATE_MAX_N", "_COUNT_MAX_N", "_VERIFY_MAX_N")
     for limit in limits:
         monkeypatch.setattr(cli_module, limit, 3)

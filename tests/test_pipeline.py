@@ -336,10 +336,6 @@ class TestCountsTable:
         data = json.loads(json.dumps(counts_table(1).to_json()))
         assert data == [{"n": 1, "pc": 0, "pc_plus": 1, "co": 1, "all": 1}]
 
-    def test_enumeration_cross_check_agrees(self):
-        counts_table(7, check_enum_up_to=7)
-        counts_table(7, check_enum_up_to=99)
-
     def test_rejects_bad_max_n(self):
         with pytest.raises(ValueError):
             counts_table(0)

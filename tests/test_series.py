@@ -122,11 +122,6 @@ class TestBookkeeping:
         with pytest.raises(ValueError):
             Series([0]).shift_down()
 
-    def test_derivative(self):
-        assert Series([1, 2, 3]).derivative() == Series([2, 6])
-        with pytest.raises(ValueError):
-            Series([1]).derivative()
-
 
 class TestComposition:
     def test_published_connected_from_no_neighbor(self):

@@ -257,6 +257,8 @@ class WeightAssignment:
     "7/2"}`` entries, weights as exact fraction strings.
     """
 
+    # Keyed by the rgs tuple, which alone fixes the partition (n is its
+    # length) and hashes and compares in C, as the weight keys do.
     __slots__ = ("_weights",)
 
     def __init__(self, weights=None):
@@ -268,21 +270,26 @@ class WeightAssignment:
                     raise ValueError(f"{pi} is not a purely crossing partition")
                 if isinstance(value, (float, bool)):
                     raise TypeError("float and bool weights are not allowed; use Fraction or str")
-                table[pi] = Fraction(value)
+                table[pi.rgs] = Fraction(value)
         self._weights = table
 
     def __getitem__(self, pi: Partition) -> Fraction:
-        return self._weights.get(pi, _ONE)
+        if not isinstance(pi, Partition):
+            return _ONE
+        return self._weights.get(pi.rgs, _ONE)
 
     def __len__(self) -> int:
         return len(self._weights)
 
     def __contains__(self, pi) -> bool:
-        return pi in self._weights
+        return isinstance(pi, Partition) and pi.rgs in self._weights
 
     def items(self):
         """Assigned entries, ordered by partition for deterministic output."""
-        return sorted(self._weights.items(), key=lambda kv: (kv[0].n, kv[0].rgs))
+        return [
+            (Partition.from_rgs(rgs), value)
+            for rgs, value in sorted(self._weights.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        ]
 
     def to_json(self) -> list[dict]:
         return [
@@ -314,7 +321,13 @@ class WeightAssignment:
 def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The purely crossing keys whose weights multiply to the weight of
     the partition with restricted-growth string ``rgs``, sorted, each as
-    an rgs tuple; and whether its noncrossing cover is one block.
+    an rgs tuple; and whether its noncrossing cover is one block."""
+    return _keys_from_roots(rgs, _rgs_roots(rgs))
+
+
+def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """:func:`_rgs_weight_keys` given the root of each block, the first
+    block of the cover block that holds it.
 
     Per cover block this is :func:`cover_decompose`, :func:`contract` and
     :func:`pc_plus_decompose` read off the rgs: restrict to the block,
@@ -324,7 +337,6 @@ def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     its piece is the number of earlier blocks with the same root, since
     blocks are numbered in order of first appearance.
     """
-    root = _rgs_roots(rgs)
     seen = [0] * len(root)  # blocks met so far per root
     rank = []
     for r in root:
@@ -346,17 +358,15 @@ def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     return tuple(keys), not any(root)
 
 
-@lru_cache(maxsize=_KEYS_KEPT)
-def _weight_keys(rgs):
-    # Keyed by the rgs tuple, which hashes and compares in C.
-    keys, whole = _rgs_weight_keys(rgs)
-    return tuple(Partition.from_rgs(key) for key in keys), whole
+# Keyed by the rgs tuple, which hashes and compares in C; so are the keys
+# it returns and the weight table they are looked up in.
+_weight_keys = lru_cache(maxsize=_KEYS_KEPT)(_rgs_weight_keys)
 
 
 def _product(keys, w):
     result = _ONE
     for key in keys:
-        result *= w[key]
+        result *= w._weights.get(key, _ONE)
     return result
 
 

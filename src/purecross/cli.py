@@ -12,6 +12,10 @@ on 2 CPUs, ``enumerate --n 12`` (4,213,597 lines) took 75 s, ``count
 --n 12 --class co`` 22 s and ``verify --max-n 12`` 45 s, against 142 s
 for ``count --n 13 --class co --workers 2`` and 79 s for ``verify
 --max-n 13``.
+``verify --weighted-trials`` is at most 250; each trial costs about
+35 ms at the default depth and 130 ms from ``--max-n 9`` on, so on 2
+CPUs ``verify`` took 3.2 s with the default 20 trials and 11.9 s with
+250, and ``verify --max-n 12`` 39 s with 20 and 69 s with 250.
 ``table --max-n`` is at most 350 and ``series --order`` at most 250.
 Their cost grows about as the fourth power of the size, since the number
 of integer products is cubic and their digits grow with the size too.
@@ -20,7 +24,13 @@ weights that reach it (those on partitions of at most ``--order``
 atoms), and that lcm has at most 6 digits.  On 2 CPUs, ``table --max-n
 350`` took 3.4 s, and ``series --which D --order 250`` 2.5 s unweighted,
 5.1 s with denominators 2, 13 and 9, and 10-12 s with a 6-digit lcm,
-against 18 s with 8 digits and 31 s with 12.
+against 18 s with 8 digits and 31 s with 12.  The numerators of those
+weights have at most 30 digits, which also keeps every coefficient
+printable (Python converts ints of at most 4,300 digits to text): with
+one weight of 30 digits, ``series --which D --order 250`` took 5.0 s,
+and 17.8 s with a 6-digit denominator under it, against 11.8 s for a
+7-digit numerator over the same denominator; with an 80-digit weight it
+ran 9.7 s and then could not print its result.
 """
 
 import argparse
@@ -49,9 +59,11 @@ _CLASS_CHOICES = [cls.value for cls in PartitionClass]
 _TABLE_MAX_N = 350
 _SERIES_MAX_ORDER = 250
 _SERIES_MAX_DEN_DIGITS = 6  # of the lcm of the weights' denominators
+_SERIES_MAX_NUM_DIGITS = 30  # of each weight's numerator
 _ENUMERATE_MAX_N = 12
 _COUNT_MAX_N = 12
 _VERIFY_MAX_N = 12
+_VERIFY_MAX_TRIALS = 250
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,11 +210,15 @@ def _cmd_series(args) -> int:
             return _fail(f"cannot read weights file: {exc}")
         except (ValueError, PartitionError) as exc:
             return _fail(f"bad weights file: {exc}")
-        den = lcm(*(weight.denominator for pi, weight in w.items() if pi.n <= order))
-        if den >= 10**_SERIES_MAX_DEN_DIGITS:
+        reaching = [weight for pi, weight in w.items() if pi.n <= order]
+        if lcm(*(weight.denominator for weight in reaching)) >= 10**_SERIES_MAX_DEN_DIGITS:
             return _fail(
                 f"the lcm of the weights' denominators must have at most "
                 f"{_SERIES_MAX_DEN_DIGITS} digits"
+            )
+        if any(abs(weight.numerator) >= 10**_SERIES_MAX_NUM_DIGITS for weight in reaching):
+            return _fail(
+                f"the weights' numerators must have at most {_SERIES_MAX_NUM_DIGITS} digits"
             )
     # A holds |PC_n|; an assigned weight replaces its partition's default 1.
     a = derive_a_from_b(derive_b_from_c(derive_c_from_d(bell_series(order + 1))))
@@ -226,8 +242,8 @@ def _cmd_series(args) -> int:
 def _cmd_verify(args) -> int:
     if code := _bad_size("--max-n", args.max_n, _VERIFY_MAX_N):
         return code
-    if args.weighted_trials < 1:
-        return _fail("--weighted-trials must be at least 1")
+    if code := _bad_size("--weighted-trials", args.weighted_trials, _VERIFY_MAX_TRIALS):
+        return code
     ok = run_checks(max_n=args.max_n, trials=args.weighted_trials, seed=args.seed)
     return 0 if ok else 1
 

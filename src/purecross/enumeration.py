@@ -92,20 +92,37 @@ def _iter_rgs_no_neighbors(n, prefix=()):
 
 def _iter_rgs_no_singletons(n):
     """Restricted-growth strings with no block of size 1, in lexicographic
-    order.  Each later atom can join at most one singleton block, so a
-    prefix is pruned once its singletons outnumber the atoms left.
-    Yields one shared list; callers must copy."""
+    order, each with the root of every block: the first block of the
+    noncrossing cover block that holds it.  Each later atom can join at
+    most one singleton block, so a prefix is pruned once its singletons
+    outnumber the atoms left.
+
+    The roots of each prefix are kept at its node of the walk.  When atom
+    i rejoins block Y, whose last atom so far is p, Y is merged with
+    every block X that has an atom before p and another after it: then
+    first(X) < p < last(X) < i, so X and Y cross.  Each crossing pair is
+    caught this way, at the latest atom of the two blocks in the first
+    crossing quadruple to end.  Such an X has an atom between p and i
+    and, as blocks are numbered in order of first appearance, an index
+    below the number of blocks opened before p.  Yields (rgs, root), rgs
+    one shared list that callers must copy, root a tuple indexed by
+    block."""
     if n == 0:
-        yield []
+        yield [], ()
         return
     rgs = [-1] * n
     size = [0] * n  # atoms in each block
+    last = [0] * n  # last atom so far of each block
+    before = [0] * n  # last atom of atom i's block before atom i
+    opened = [0] * n  # blocks opened before atom i
+    roots = [()] * (n + 1)  # roots[i + 1]: block roots of the prefix through atom i
     blocks = singles = 0
     i = 0
     while i >= 0:
         v = rgs[i]
         if v >= 0:  # take atom i back out of its block
             size[v] -= 1
+            last[v] = before[i]
             if size[v] == 0:
                 blocks -= 1
                 singles -= 1
@@ -117,7 +134,10 @@ def _iter_rgs_no_singletons(n):
             i -= 1
             continue
         rgs[i] = v
+        opened[i] = blocks
         size[v] += 1
+        before[i] = p = last[v]
+        last[v] = i
         if size[v] == 1:
             blocks += 1
             singles += 1
@@ -125,8 +145,24 @@ def _iter_rgs_no_singletons(n):
             singles -= 1
         if singles > n - 1 - i:
             continue
+        root = roots[i]
+        if size[v] == 1:
+            root += (v,)
+        elif p < i - 1:
+            k = opened[p]
+            r = root[v]
+            merged = None
+            for x in rgs[p + 1 : i]:
+                if x < k and root[x] != r:
+                    if merged is None:
+                        merged = {r}
+                    merged.add(root[x])
+            if merged:
+                r = min(merged)
+                root = tuple(r if t in merged else t for t in root)
+        roots[i + 1] = root
         if i == n - 1:
-            yield rgs
+            yield rgs, root
         else:
             i += 1
 

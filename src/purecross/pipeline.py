@@ -26,9 +26,8 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .bijections import WeightAssignment, _rgs_weight_keys
+from .bijections import _ONE, WeightAssignment, _keys_from_roots
 from .enumeration import _iter_rgs_no_singletons
-from .partition import Partition
 from .series import Series, _integral, solve_fixpoint
 
 _ZERO = Fraction(0)
@@ -143,10 +142,11 @@ def _singleton_free_rows(m: int):
     d)), one per distinct tuple of purely crossing keys: d counts them
     all, c the connected ones among them, b and a the no-neighbor
     connected and purely crossing ones.  Each string is walked once per
-    process, whichever plans need it."""
+    process, whichever plans need it, and the walk hands over the cover
+    roots of each string along with it."""
     rows = defaultdict(lambda: [0, 0, 0, 0])
-    for rgs in _iter_rgs_no_singletons(m):
-        keys, whole = _rgs_weight_keys(rgs)
+    for rgs, root in _iter_rgs_no_singletons(m):
+        keys, whole = _keys_from_roots(rgs, root)
         row = rows[keys]
         row[3] += 1
         if not whole or not rgs:  # the empty partition counts in d only
@@ -164,7 +164,9 @@ def _transport_plan(n: int):
     """The degree-n brute-force sums as rows (keys, (a, b, c, d)), one per
     distinct tuple of purely crossing keys: a purely crossing, b
     no-neighbor connected, c connected and d arbitrary partitions of n
-    atoms each weigh the product of ``w[key]`` over ``keys``.
+    atoms each weigh the product of ``w[key]`` over ``keys``.  A key is
+    the rgs tuple of its partition, the form the weight table is keyed
+    by, so no key is ever built into a :class:`Partition`.
 
     The plan is put together from the singleton-free rows of every
     length m <= n (:func:`_singleton_free_rows`).  A singleton crosses
@@ -185,10 +187,7 @@ def _transport_plan(n: int):
             row[3] += ways * counts[3]
     if n == 1:
         rows[()][1:3] = [1, 1]
-    partitions = {key: Partition.from_rgs(key) for keys in rows for key in keys}
-    return tuple(
-        (tuple(partitions[key] for key in keys), tuple(mults)) for keys, mults in rows.items()
-    )
+    return tuple((keys, tuple(mults)) for keys, mults in rows.items())
 
 
 def weighted_brute_coeffs(
@@ -202,15 +201,17 @@ def weighted_brute_coeffs(
     singleton blocks are counted through C(n, m) rather than walked, and
     every plan shares one walk per length of the singleton-free strings
     (see :func:`_transport_plan`), so the first call for each size pays
-    for the walks and later weight assignments only for the sum.  The
-    sum is taken on ints: every weight is scaled by the lcm L of the
-    weight denominators, a row of k keys by L^(depth - k) more, depth
-    being the most keys in a row, and each coefficient is divided by
-    L^depth once at the end."""
+    for the walks and later weight assignments only for the sum.  Each
+    weight is read from the assignment's table by the key's rgs tuple,
+    a lookup that hashes and compares in C.  The sum is taken on ints:
+    every weight is scaled by the lcm L of the weight denominators, a
+    row of k keys by L^(depth - k) more, depth being the most keys in a
+    row, and each coefficient is divided by L^depth once at the end."""
     if n < 1:
         raise ValueError("n must be at least 1")
     plan = _transport_plan(n)
-    rows = [([w[key] for key in keys], mults) for keys, mults in plan]
+    weight = w._weights.get  # keys and table are both rgs tuples
+    rows = [([weight(key, _ONE) for key in keys], mults) for keys, mults in plan]
     scale = lcm(*(q.denominator for weights, _ in rows for q in weights))
     depth = max(len(weights) for weights, _ in rows)
     totals = [0, 0, 0, 0]

@@ -1,5 +1,7 @@
 """The three reversible decompositions and the weight transport."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -282,6 +284,9 @@ class TestWeights:
         assert len(w) == 1
         assert Partition.parse("1,3|2,4") in w
         assert Partition.parse("1,3,5|2,4,6") not in w
+        # Only a Partition can be in an assignment; other keys are not.
+        assert "1,3|2,4" not in w
+        assert Partition.parse("1,3|2,4").rgs not in w
 
     def test_rejects_bad_keys_and_floats(self):
         with pytest.raises(ValueError):
@@ -315,6 +320,28 @@ class TestWeights:
         assert back.items() == w.items()
         with pytest.raises(ValueError):
             WeightAssignment.from_json([{"partition": "1,3|2,4"}])
+
+    def test_items_and_json_order(self):
+        # Entries come out ordered by (n, rgs) whatever order they went in.
+        texts = ["1,4|2,5|3,6", "1,3,5|2,4,6", "1,4|2,6|3,5", "1,3|2,4", "1,3|2,5|4,6"]
+        w = WeightAssignment(
+            {Partition.parse(t): Fraction(k - 2, k + 1) for k, t in enumerate(texts)}
+        )
+        assert [str(pi) for pi, _ in w.items()] == [
+            "1,3|2,4",
+            "1,3,5|2,4,6",
+            "1,3|2,5|4,6",
+            "1,4|2,5|3,6",
+            "1,4|2,6|3,5",
+        ]
+        assert all(isinstance(pi, Partition) for pi, _ in w.items())
+        assert json.dumps(w.to_json()) == (
+            '[{"partition": "1,3|2,4", "weight": "1/4"}, '
+            '{"partition": "1,3,5|2,4,6", "weight": "-1/2"}, '
+            '{"partition": "1,3|2,5|4,6", "weight": "2/5"}, '
+            '{"partition": "1,4|2,5|3,6", "weight": "-2"}, '
+            '{"partition": "1,4|2,6|3,5", "weight": "0"}]'
+        )
 
     def test_weight_examples(self):
         w = self.example_assignment()
@@ -361,6 +388,28 @@ class TestWeights:
         ]
         return WeightAssignment(
             {pi: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for pi in support}
+        )
+
+    def test_weights_match_pinned_values(self):
+        # partition_weight, connected_weight and pc_plus_weight on every
+        # partition with n <= 9 under the seeded assignments, each value
+        # or ValueError hashed in sweep order: the digest pins them all,
+        # whatever the weight table is keyed by.
+        sweep = [Partition.empty()] + [pi for n in range(1, 10) for pi in iterate(n)]
+        assignments = [self.example_assignment()] + [
+            self._random_assignment(random.Random(seed)) for seed in (7, 11, 13)
+        ]
+        digest = hashlib.sha256()
+        for w in assignments:
+            for weight in (partition_weight, connected_weight, pc_plus_weight):
+                for pi in sweep:
+                    try:
+                        value = str(weight(pi, w))
+                    except ValueError:
+                        value = "ValueError"
+                    digest.update(f"{value}\n".encode())
+        assert digest.hexdigest() == (
+            "fde0554c7c05105701071ff128eb647db9ba9ff4b1e9fb4c8655a6054b9a5690"
         )
 
     def test_transport_consistency(self):

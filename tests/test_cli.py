@@ -350,11 +350,19 @@ EXIT_CODES = [
     ([*_WEIGHTED_D, "6"], 0, _weights_file("1/999999")),
     ([*_WEIGHTED_D, "6"], 2, _weights_file("1/1000", "1/1001")),
     ([*_WEIGHTED_D, "5"], 0, _weights_file("1/1000", "1/1001")),
+    # Each numerator reaching the series has at most 30 digits, whatever
+    # its sign.
+    ([*_WEIGHTED_D, "7"], 0, _weights_file(str(10**30 - 1), f"-{10**30 - 1}/7")),
+    ([*_WEIGHTED_D, "7"], 2, _weights_file("1", str(10**30))),
+    ([*_WEIGHTED_D, "8"], 2, _weights_file(f"-{10**30}/7")),
+    ([*_WEIGHTED_D, "4"], 0, _weights_file("1", str(10**30))),
     (["verify", "--max-n", "3", "--weighted-trials", "1"], 0, None),
     (["verify"], 1, _failing_check),
     (["verify", "--max-n", "4", "--weighted-trials", "1"], 1, _miscount),
     (["verify", "--max-n", "0"], 2, None),
     (["verify", "--max-n", "13"], 2, None),
+    (["verify", "--weighted-trials", "0"], 2, None),
+    (["verify", "--weighted-trials", "251"], 2, None),
     (["verify", "--workers", "2"], 2, None),
 ]
 
@@ -383,7 +391,20 @@ def test_size_limits_are_inclusive(capsys, monkeypatch, tmp_path):
     _weights_file("1/8", "1/125")(monkeypatch)  # lcm 1000
     code, out, err = invoke(capsys, *_WEIGHTED_D, "6")
     assert (code, out) == (2, "") and "at most 3 digits" in err
-    limits = ("_TABLE_MAX_N", "_SERIES_MAX_ORDER", "_ENUMERATE_MAX_N", "_COUNT_MAX_N", "_VERIFY_MAX_N")
+    monkeypatch.setattr(cli_module, "_SERIES_MAX_NUM_DIGITS", 3)
+    _weights_file("-999/8", "999")(monkeypatch)
+    assert invoke(capsys, *_WEIGHTED_D, "6")[0] == 0
+    _weights_file("1", "-1000/7")(monkeypatch)
+    code, out, err = invoke(capsys, *_WEIGHTED_D, "6")
+    assert (code, out) == (2, "") and "numerators must have at most 3 digits" in err
+    limits = (
+        "_TABLE_MAX_N",
+        "_SERIES_MAX_ORDER",
+        "_ENUMERATE_MAX_N",
+        "_COUNT_MAX_N",
+        "_VERIFY_MAX_N",
+        "_VERIFY_MAX_TRIALS",
+    )
     for limit in limits:
         monkeypatch.setattr(cli_module, limit, 3)
     for argv in (
@@ -392,6 +413,7 @@ def test_size_limits_are_inclusive(capsys, monkeypatch, tmp_path):
         ("enumerate", "--n"),
         ("count", "--n"),
         ("verify", "--weighted-trials", "1", "--max-n"),
+        ("verify", "--max-n", "1", "--weighted-trials"),
     ):
         assert invoke(capsys, *argv, "3")[0] == 0, argv
         code, out, err = invoke(capsys, *argv, "4")

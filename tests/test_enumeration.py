@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from purecross import Partition, PartitionClass, count, enumeration, iterate, orbit_size
+from purecross.bijections import _keys_from_roots, _rgs_weight_keys
+from purecross.partition import _rgs_roots
 
 from oracles import (
     PUBLISHED_COUNTS,
@@ -87,7 +89,7 @@ def test_singleton_free_stream_is_the_filtered_plain_stream():
     # A000296: 1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722.
     sizes = []
     for m in range(11):
-        got = [tuple(rgs) for rgs in enumeration._iter_rgs_no_singletons(m)]
+        got = [tuple(rgs) for rgs, _ in enumeration._iter_rgs_no_singletons(m)]
         expected = [
             tuple(rgs)
             for rgs in enumeration._iter_rgs_plain(m)
@@ -96,6 +98,16 @@ def test_singleton_free_stream_is_the_filtered_plain_stream():
         assert got == expected, m
         sizes.append(len(got))
     assert sizes == [1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722]
+
+
+def test_singleton_free_walk_carries_the_cover_roots():
+    # The roots merged along the walk against the one-pass stack of
+    # _rgs_roots on each finished string, two independent algorithms;
+    # and the weight keys read off either.
+    for m in range(11):
+        for rgs, root in enumeration._iter_rgs_no_singletons(m):
+            assert list(root) == _rgs_roots(rgs), rgs
+            assert _keys_from_roots(rgs, root) == _rgs_weight_keys(rgs), rgs
 
 
 def test_streams_match_brute_enumerator():

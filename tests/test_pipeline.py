@@ -25,7 +25,7 @@ from purecross import (
     weighted_brute_coeffs,
 )
 from purecross import pipeline
-from purecross.bijections import _rgs_weight_keys
+from purecross.enumeration import _iter_rgs_no_singletons
 from purecross.pipeline import _transport_plan
 
 from oracles import PUBLISHED_COUNTS, bell_brute, catalan
@@ -247,15 +247,16 @@ class TestWeightedBrute:
     def test_each_singleton_free_string_is_walked_once(self, monkeypatch):
         # 4,361 singleton-free strings have lengths 0..9 (OEIS A000296),
         # and plans 1..9 share their walks.
-        calls = []
+        walked = []
 
-        def counted(rgs):
-            calls.append(tuple(rgs))
-            return _rgs_weight_keys(rgs)
+        def counted(m):
+            for rgs, root in _iter_rgs_no_singletons(m):
+                walked.append(tuple(rgs))
+                yield rgs, root
 
-        monkeypatch.setattr(pipeline, "_rgs_weight_keys", counted)
+        monkeypatch.setattr(pipeline, "_iter_rgs_no_singletons", counted)
         self._fresh_plans(range(1, 10))
-        assert len(calls) == len(set(calls)) == 4361
+        assert len(walked) == len(set(walked)) == 4361
 
     def test_plans_do_not_depend_on_build_order(self):
         backwards = self._fresh_plans([9, *range(1, 9)])

@@ -251,7 +251,7 @@ def gap_assemble(dec: GapDecomposition) -> Partition:
 
 class WeightAssignment:
     """Rational weights on purely crossing partitions; unassigned members
-    weigh 1.  ``w[pi]`` performs the defaulted lookup.
+    weigh 1.  ``w[pi]`` is the defaulted lookup of a :class:`Partition`.
 
     The JSON form is a list of ``{"partition": "1,3|2,4", "weight":
     "7/2"}`` entries, weights as exact fraction strings.
@@ -275,7 +275,7 @@ class WeightAssignment:
 
     def __getitem__(self, pi: Partition) -> Fraction:
         if not isinstance(pi, Partition):
-            return _ONE
+            raise TypeError(f"weights are looked up by Partition, not {type(pi).__name__}")
         return self._weights.get(pi.rgs, _ONE)
 
     def __len__(self) -> int:

@@ -8,14 +8,14 @@ closes it early, as in ``purecross enumerate --n 9 | head -1``.
 
 Every command takes bounded work, and a size above its limit exits 2.
 ``enumerate --n``, ``count --n`` and ``verify --max-n`` are at most 12;
-on 2 CPUs, ``enumerate --n 12`` (4,213,597 lines) took 75 s, ``count
---n 12 --class co`` 22 s and ``verify --max-n 12`` 45 s, against 142 s
-for ``count --n 13 --class co --workers 2`` and 79 s for ``verify
---max-n 13``.
+on 2 CPUs (a faster host than the one that timed ``table`` and
+``series`` below), ``enumerate --n 12`` (4,213,597 lines) took 26 s,
+``count --n 12 --class co`` 0.9 s and ``verify --max-n 12`` 15 s,
+against 26 s for ``verify --max-n 13``.
 ``verify --weighted-trials`` is at most 250; each trial costs about
-35 ms at the default depth and 130 ms from ``--max-n 9`` on, so on 2
-CPUs ``verify`` took 3.2 s with the default 20 trials and 11.9 s with
-250, and ``verify --max-n 12`` 39 s with 20 and 69 s with 250.
+15 ms at the default depth and 45 ms from ``--max-n 9`` on, so on the
+same host ``verify`` took 1.3 s with the default 20 trials and 4.8 s
+with 250, and ``verify --max-n 12`` 15 s with 20 and 25 s with 250.
 ``table --max-n`` is at most 350 and ``series --order`` at most 250.
 Their cost grows about as the fourth power of the size, since the number
 of integer products is cubic and their digits grow with the size too.

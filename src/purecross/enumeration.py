@@ -1,10 +1,10 @@
 """Streams and exact counts for the five partition families.
 
 Enumeration walks restricted-growth strings in lexicographic order.  The
-no-neighbor families prune every prefix that already repeats a value in
-adjacent positions; the noncrossing family only ever extends a prefix with
-a block that is still "open" on the nesting stack.  Connectivity and the
-first-atom/last-atom condition are checked on complete strings only.
+noncrossing family only ever extends a prefix with a block that is still
+"open" on the nesting stack.  The connected families share the
+singleton-free walker, which carries each prefix's crossing components
+down the walk: a string is connected when every block has root 0.
 
 Counting never materializes Partition objects and can split the work over
 processes by fixed-length rgs prefixes; the result is independent of the
@@ -13,8 +13,9 @@ worker count.
 
 import os
 from enum import Enum
+from operator import ne
 
-from .partition import Partition, _rgs_connected
+from .partition import Partition
 
 
 class PartitionClass(Enum):
@@ -58,44 +59,14 @@ def _iter_rgs_plain(n, prefix=()):
             maxp[j] = maxp[j - 1]
 
 
-def _iter_rgs_no_neighbors(n, prefix=()):
-    """Restricted-growth strings with no two adjacent equal values."""
-    length = len(prefix)
-    rgs = list(prefix) + [0] * (n - length)
-    for j in range(max(length, 1), n):
-        rgs[j] = 0 if rgs[j - 1] != 0 else 1
-    maxp = [0] * n
-    m = 0
-    for j in range(n):
-        if rgs[j] > m:
-            m = rgs[j]
-        maxp[j] = m
-    floor = length if length > 0 else 1
-    while True:
-        yield rgs
-        i = n - 1
-        while i >= floor:
-            v = rgs[i] + 1
-            if v == rgs[i - 1]:
-                v += 1
-            if v <= maxp[i - 1] + 1:
-                break
-            i -= 1
-        if i < floor:
-            return
-        rgs[i] = v
-        maxp[i] = maxp[i - 1] if maxp[i - 1] >= v else v
-        for j in range(i + 1, n):
-            rgs[j] = 0 if rgs[j - 1] != 0 else 1
-            maxp[j] = maxp[j - 1] if maxp[j - 1] >= rgs[j] else rgs[j]
-
-
-def _iter_rgs_no_singletons(n):
-    """Restricted-growth strings with no block of size 1, in lexicographic
-    order, each with the root of every block: the first block of the
-    noncrossing cover block that holds it.  Each later atom can join at
-    most one singleton block, so a prefix is pruned once its singletons
-    outnumber the atoms left.
+def _iter_rgs_no_singletons(n, prefix=()):
+    """Restricted-growth strings with no block of size 1 that extend
+    ``prefix``, in lexicographic order, each with the root of every
+    block: the first block of the noncrossing cover block that holds it.
+    Each later atom can join at most one singleton block, so atom i may
+    only join a singleton when the singletons equal the atoms left, and
+    may not open a block when they are one fewer.  A pruned prefix
+    yields nothing.
 
     The roots of each prefix are kept at its node of the walk.  When atom
     i rejoins block Y, whose last atom so far is p, Y is merged with
@@ -117,8 +88,9 @@ def _iter_rgs_no_singletons(n):
     opened = [0] * n  # blocks opened before atom i
     roots = [()] * (n + 1)  # roots[i + 1]: block roots of the prefix through atom i
     blocks = singles = 0
+    floor = len(prefix)
     i = 0
-    while i >= 0:
+    while True:
         v = rgs[i]
         if v >= 0:  # take atom i back out of its block
             size[v] -= 1
@@ -128,8 +100,18 @@ def _iter_rgs_no_singletons(n):
                 singles -= 1
             elif size[v] == 1:
                 singles += 1
-        v += 1
-        if v > blocks:
+            v += 1
+        elif i < floor:
+            v = prefix[i]
+        else:
+            v = 0
+        spare = n - i - singles  # atoms left, atom i included, beyond one per singleton
+        if spare == 0:
+            while v < blocks and size[v] != 1:
+                v += 1
+        if v > (blocks if spare > 1 else blocks - 1) or (i < floor and v != prefix[i]):
+            if i <= floor:
+                return
             rgs[i] = -1
             i -= 1
             continue
@@ -143,8 +125,6 @@ def _iter_rgs_no_singletons(n):
             singles += 1
         elif size[v] == 2:
             singles -= 1
-        if singles > n - 1 - i:
-            continue
         root = roots[i]
         if size[v] == 1:
             root += (v,)
@@ -181,8 +161,10 @@ def _iter_rgs_noncrossing(n, prefix=()):
         if v == blocks:
             stack.append(v)
             blocks += 1
-        else:
+        elif v in stack:
             del stack[stack.index(v) + 1:]
+        else:  # a crossing prefix
+            return
     yield from _nc_extend(rgs, len(prefix), n, stack, blocks)
 
 
@@ -197,25 +179,37 @@ def _nc_extend(rgs, i, n, stack, blocks):
     yield from _nc_extend(rgs, i + 1, n, stack + [blocks], blocks + 1)
 
 
-def _rgs_purely_crossing(rgs):
-    return rgs[-1] != 0 and _rgs_connected(rgs)
+def _connected(rgs, root):
+    return not any(root)
+
+
+def _pc_plus(rgs, root):
+    return not any(root) and all(map(ne, rgs, rgs[1:]))
+
+
+def _purely_crossing(rgs, root):
+    return rgs[-1] != 0 and _pc_plus(rgs, root)
 
 
 # Each family as (walker, accept): the walker streams candidate strings in
-# lexicographic order and ``accept`` keeps the members (None keeps all).
+# lexicographic order, all members if accept is None; else it is the
+# singleton-free walk, and accept keeps the members among its (rgs, root).
 _FAMILIES = {
     PartitionClass.ALL: (_iter_rgs_plain, None),
     PartitionClass.NONCROSSING: (_iter_rgs_noncrossing, None),
-    PartitionClass.CONNECTED: (_iter_rgs_plain, _rgs_connected),
-    PartitionClass.PC_PLUS: (_iter_rgs_no_neighbors, _rgs_connected),
-    PartitionClass.PURELY_CROSSING: (_iter_rgs_no_neighbors, _rgs_purely_crossing),
+    PartitionClass.CONNECTED: (_iter_rgs_no_singletons, _connected),
+    PartitionClass.PC_PLUS: (_iter_rgs_no_singletons, _pc_plus),
+    PartitionClass.PURELY_CROSSING: (_iter_rgs_no_singletons, _purely_crossing),
 }
 
 
 def _members(n, cls, prefix=()):
     walk, accept = _FAMILIES[cls]
-    strings = walk(n, prefix)
-    return strings if accept is None else filter(accept, strings)
+    if accept is None:
+        return walk(n, prefix)
+    # The single atom is a singleton block, and its own root.
+    pairs = walk(n, prefix) if n > 1 else [([0], (0,))]
+    return (rgs for rgs, root in pairs if accept(rgs, root))
 
 
 def _count_serial(n, cls, prefix=()):
@@ -262,8 +256,7 @@ def count(n, cls=PartitionClass.ALL, workers=1):
     workers = min(workers, _usable_cpus())
     if workers == 1 or n < _PARALLEL_MIN_N:
         return _count_serial(n, cls)
-    walk, _ = _FAMILIES[cls]
-    prefixes = [tuple(p) for p in walk(min(_PREFIX_LEN, n - 2))]
+    prefixes = [tuple(p) for p in _iter_rgs_plain(min(_PREFIX_LEN, n - 2))]
     chunks = [prefixes[w::workers] for w in range(workers)]
     chunks = [c for c in chunks if c]
     # Imported here: a serial count, and every other subcommand, should

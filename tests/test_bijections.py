@@ -284,9 +284,13 @@ class TestWeights:
         assert len(w) == 1
         assert Partition.parse("1,3|2,4") in w
         assert Partition.parse("1,3,5|2,4,6") not in w
-        # Only a Partition can be in an assignment; other keys are not.
+        # Only a Partition can be in an assignment; other keys are not,
+        # and looking one up is an error rather than the default weight.
         assert "1,3|2,4" not in w
         assert Partition.parse("1,3|2,4").rgs not in w
+        for key in ("1,3|2,4", Partition.parse("1,3|2,4").rgs, None):
+            with pytest.raises(TypeError):
+                w[key]
 
     def test_rejects_bad_keys_and_floats(self):
         with pytest.raises(ValueError):

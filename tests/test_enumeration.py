@@ -105,9 +105,43 @@ def test_singleton_free_walk_carries_the_cover_roots():
     # _rgs_roots on each finished string, two independent algorithms;
     # and the weight keys read off either.
     for m in range(11):
+        whole = []
         for rgs, root in enumeration._iter_rgs_no_singletons(m):
             assert list(root) == _rgs_roots(rgs), rgs
             assert _keys_from_roots(rgs, root) == _rgs_weight_keys(rgs), rgs
+            whole.append((tuple(rgs), root))
+        # Replayed from every prefix, the walks put together are the whole
+        # walk, roots included; a prefix with more singletons than atoms
+        # left yields nothing.
+        for length in range(1, m):
+            split = []
+            for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
+                got = [
+                    (tuple(rgs), root)
+                    for rgs, root in enumeration._iter_rgs_no_singletons(m, prefix)
+                ]
+                assert all(rgs[:length] == prefix for rgs, _ in got), prefix
+                singles = sum(1 for v in set(prefix) if prefix.count(v) == 1)
+                if singles > m - length:
+                    assert got == [], prefix
+                split += got
+            assert split == whole, (m, length)
+
+
+def test_noncrossing_walk_from_every_prefix():
+    # A crossing prefix yields nothing; the rest put together are the
+    # whole walk.
+    for n in range(1, 11):
+        whole = [tuple(rgs) for rgs in enumeration._iter_rgs_noncrossing(n)]
+        for length in range(1, n):
+            split = []
+            for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
+                got = [tuple(rgs) for rgs in enumeration._iter_rgs_noncrossing(n, prefix)]
+                assert all(rgs[:length] == prefix for rgs in got), prefix
+                if not Partition.from_rgs(prefix).is_noncrossing():
+                    assert got == [], prefix
+                split += got
+            assert split == whole, (n, length)
 
 
 def test_streams_match_brute_enumerator():
@@ -140,6 +174,8 @@ def test_count_is_worker_independent():
 def test_parallel_path_on_larger_n():
     # n = 10 goes through the chunked path even with one worker process.
     assert count(10, PartitionClass.CONNECTED, workers=2) == 10205
+    assert count(10, PartitionClass.PC_PLUS, workers=2) == 1792
+    assert count(10, PartitionClass.PURELY_CROSSING, workers=2) == 1494
     assert count(10, PartitionClass.NONCROSSING, workers=2) == catalan(10)
 
 

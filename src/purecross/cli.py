@@ -9,13 +9,13 @@ closes it early, as in ``purecross enumerate --n 9 | head -1``.
 Every command takes bounded work, and a size above its limit exits 2.
 ``enumerate --n``, ``count --n`` and ``verify --max-n`` are at most 12;
 on 2 CPUs (a faster host than the one that timed ``table`` and
-``series`` below), ``enumerate --n 12`` (4,213,597 lines) took 26 s,
-``count --n 12 --class co`` 0.9 s and ``verify --max-n 12`` 15 s,
-against 26 s for ``verify --max-n 13``.
-``verify --weighted-trials`` is at most 250; each trial costs about
-15 ms at the default depth and 45 ms from ``--max-n 9`` on, so on the
-same host ``verify`` took 1.3 s with the default 20 trials and 4.8 s
-with 250, and ``verify --max-n 12`` 15 s with 20 and 25 s with 250.
+``series`` below), ``enumerate --n 12`` (4,213,597 lines) took 26 s and
+``count --n 12 --class co`` 0.9 s.  On another 2-CPU host,
+``verify --max-n 12`` took 17-22 s, and the same checks at 13 took 57 s.
+``verify --weighted-trials`` is at most 250; on that host ``verify``
+took 2.4 s with the default 20 trials and 11.9 s with 250, so a trial
+costs about 40 ms at the default depth, and ``verify --max-n 12`` took
+55 s with 250 trials, about 0.15 s a trial.
 ``table --max-n`` is at most 350 and ``series --order`` at most 250.
 Their cost grows about as the fourth power of the size, since the number
 of integer products is cubic and their digits grow with the size too.
@@ -64,51 +64,6 @@ _ENUMERATE_MAX_N = 12
 _COUNT_MAX_N = 12
 _VERIFY_MAX_N = 12
 _VERIFY_MAX_TRIALS = 250
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="purecross",
-        description="Classify, enumerate, and count purely crossing set "
-        "partitions and their relatives; evaluate the associated "
-        "generating functions exactly.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="print the predicates and cover of one partition")
-    p.add_argument("partition", help="partition text, e.g. '1,3|2,4'")
-
-    p = sub.add_parser("enumerate", help="stream every member of a family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="all")
-    p.add_argument("--format", choices=["plain", "json"], default="plain")
-
-    p = sub.add_parser("count", help="exact family size by enumeration")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="all")
-    p.add_argument("--workers", type=int, default=1)
-
-    p = sub.add_parser("table", help="family sizes for n = 1 .. max-n via the series pipeline")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-
-    p = sub.add_parser("series", help="coefficients of one of the four counting series")
-    p.add_argument("--which", choices=["A", "B", "C", "D"], required=True)
-    p.add_argument("--order", type=int, default=15)
-    p.add_argument(
-        "--weights",
-        metavar="FILE",
-        help="JSON weight assignment on purely crossing partitions "
-        "(unassigned ones weigh 1)",
-    )
-    p.add_argument("--format", choices=["plain", "tsv", "json"], default="plain")
-
-    p = sub.add_parser("verify", help="run the library's invariant suite")
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--weighted-trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-    return parser
 
 
 def _fail(message: str) -> int:
@@ -248,24 +203,110 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-    "count": _cmd_count,
-    "table": _cmd_table,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
+def _classify_arguments(p):
+    p.add_argument("partition", help="partition text, e.g. '1,3|2,4'")
+
+
+def _enumerate_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="all")
+    p.add_argument("--format", choices=["plain", "json"], default="plain")
+
+
+def _count_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="all")
+    p.add_argument("--workers", type=int, default=1)
+
+
+def _table_arguments(p):
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--format", choices=["tsv", "json"], default="tsv")
+
+
+def _series_arguments(p):
+    p.add_argument("--which", choices=["A", "B", "C", "D"], required=True)
+    p.add_argument("--order", type=int, default=15)
+    p.add_argument(
+        "--weights",
+        metavar="FILE",
+        help="JSON weight assignment on purely crossing partitions "
+        "(unassigned ones weigh 1)",
+    )
+    p.add_argument("--format", choices=["plain", "tsv", "json"], default="plain")
+
+
+def _verify_arguments(p):
+    p.add_argument("--max-n", type=int, default=7)
+    p.add_argument("--weighted-trials", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+
+
+# Each subcommand once: name -> (help, adds its arguments to a parser, handler).
+_COMMANDS = {
+    "classify": (
+        "print the predicates and cover of one partition",
+        _classify_arguments,
+        _cmd_classify,
+    ),
+    "enumerate": ("stream every member of a family", _enumerate_arguments, _cmd_enumerate),
+    "count": ("exact family size by enumeration", _count_arguments, _cmd_count),
+    "table": (
+        "family sizes for n = 1 .. max-n via the series pipeline",
+        _table_arguments,
+        _cmd_table,
+    ),
+    "series": ("coefficients of one of the four counting series", _series_arguments, _cmd_series),
+    "verify": ("run the library's invariant suite", _verify_arguments, _cmd_verify),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="purecross",
+        description="Classify, enumerate, and count purely crossing set "
+        "partitions and their relatives; evaluate the associated "
+        "generating functions exactly.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def _parse(argv):
+    """The subcommand's name and its parsed arguments.
+
+    When ``argv`` names a subcommand, only that subcommand's parser is
+    built: it is the parser the full tree hands the rest of ``argv`` to,
+    so its help and its errors are the same.  Whatever it leaves over,
+    and any ``argv`` that names no subcommand, goes to the full tree,
+    which prints the top-level usage, help and errors.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, add_arguments, _ = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"purecross {name}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return name, args
+    args = _build_parser().parse_args(argv)
+    return args.command, args
+
+
 def run(argv=None) -> int:
-    """Parse arguments and execute; returns the process exit code."""
-    parser = _build_parser()
+    """Parse arguments (``sys.argv[1:]`` when None) and execute; returns
+    the process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        name, args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    return _HANDLERS[args.command](args)
+    _, _, handler = _COMMANDS[name]
+    return handler(args)
 
 
 def main() -> None:

@@ -79,14 +79,23 @@ def check_connected_iff_cover_whole(ctx):
 
 
 def check_cover_minimality(ctx):
-    for n in range(1, min(ctx.max_n, 8) + 1):
-        noncrossing = [rho for rho in iterate(n, PartitionClass.NONCROSSING)]
+    top = min(ctx.max_n, 8)
+    # merges[k - 1]: every way to merge k blocks, as an rgs over them.
+    merges = [[m.rgs for m in iterate(k)] for k in range(1, top + 1)]
+    for n in range(1, top + 1):
+        rgs = [0] * n
         for pi in iterate(n):
             cover = pi.noncrossing_cover()
             if not cover.is_noncrossing() or not pi.is_refinement_of(cover):
                 return f"cover of {pi} is not a noncrossing coarsening"
-            for rho in noncrossing:
-                if pi.is_refinement_of(rho) and not cover.is_refinement_of(rho):
+            # Every coarsening of pi, in lex order: blocks are ordered by
+            # their least atom, so merging them keeps restricted growth.
+            for merge in merges[len(pi.blocks) - 1]:
+                for block, label in zip(pi.blocks, merge):
+                    for a in block:
+                        rgs[a - 1] = label
+                rho = Partition.from_rgs(rgs)
+                if rho.is_noncrossing() and not cover.is_refinement_of(rho):
                     return f"cover of {pi} is not minimal: {rho} is smaller"
     return None
 

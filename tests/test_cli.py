@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from purecross import (
+    Partition,
     PartitionClass,
     Series,
     WeightAssignment,
@@ -291,6 +292,22 @@ class TestVerify:
         problem = verify_module.check_pipelines_inverse(verify_module.VerifyContext(max_n=4))
         assert problem == "count coefficient 1/2 is not an integer"
 
+    def test_cover_check_reports_the_first_smaller_coarsening(self, monkeypatch):
+        # A cover that jumps to the whole set when blocks cross and the
+        # true cover has three blocks or more.  1,3|2,4|5|6 then has four
+        # smaller noncrossing coarsenings; the least in lex order is named.
+        true_cover = Partition.noncrossing_cover
+
+        def cover(pi):
+            least = true_cover(pi)
+            if pi.is_noncrossing() or len(least.blocks) < 3:
+                return least
+            return Partition.whole(pi.n)
+
+        monkeypatch.setattr(Partition, "noncrossing_cover", cover)
+        problem = verify_module.check_cover_minimality(verify_module.VerifyContext(max_n=6))
+        assert problem == "cover of 1,3|2,4|5|6 is not minimal: 1,2,3,4,5|6 is smaller"
+
 
 def _miscount(monkeypatch):
     # Enumeration that contradicts the series pipeline.
@@ -341,6 +358,8 @@ EXIT_CODES = [
     (["table", "--max-n", "4", "--check-enum-up-to", "4"], 2, None),
     (["table", "--max-n", "4", "--check-enum-up-to", "-1"], 2, None),
     (["table", "--max-n", "351"], 2, None),
+    (["table", "--max-n", "4", "extra"], 2, None),
+    (["table", "--help"], 0, None),
     (["series", "--which", "A", "--order", "5"], 0, None),
     (["series", "--which", "A", "--order", "0"], 2, None),
     (["series", "--which", "A", "--order", "251"], 2, None),
@@ -380,7 +399,7 @@ def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, expected, prepare)
 
 
 def test_exit_code_table_covers_every_subcommand():
-    assert {argv[0] for argv, _, _ in EXIT_CODES} == set(cli_module._HANDLERS)
+    assert {argv[0] for argv, _, _ in EXIT_CODES} == set(cli_module._COMMANDS)
 
 
 def test_size_limits_are_inclusive(capsys, monkeypatch, tmp_path):
@@ -434,6 +453,68 @@ class TestUsage:
         capsys.readouterr()
 
 
+# Argument vectors that name a subcommand are parsed by that subcommand's
+# parser alone; each must parse, print and exit as the full tree does.
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "table"],
+    ["frobnicate"],
+    ["tab", "--max-n", "4"],
+    ["--bogus", "table", "--max-n", "4"],
+    ["--", "table", "--max-n", "4"],
+    *([name, "--help"] for name in cli_module._COMMANDS),
+    ["table", "-h"],
+    ["table", "--he"],
+    ["table", "--max-n", "4", "--help"],
+    ["classify", "1,3|2,4"],
+    ["classify"],
+    ["classify", "1,3|2,4", "1,2"],
+    ["classify", "--", "1,3|2,4"],
+    ["classify", "-1"],
+    ["enumerate", "--n", "3"],
+    ["enumerate", "--n=3", "--class=pc", "--format", "json"],
+    ["enumerate", "--n", "x"],
+    ["enumerate", "--class", "bogus", "--n", "3"],
+    ["enumerate"],
+    ["count", "--n", "4", "--wor", "2"],
+    ["count", "--n", "4", "--n", "5"],
+    ["count", "--n", "4", "--cl", "co"],
+    ["count", "--n"],
+    ["table", "--max-n", "40"],
+    ["table", "--max", "40"],
+    ["table", "--max-n", "4", "extra"],
+    ["table", "--max-n", "4", "--check-enum-up-to", "4"],
+    ["table", "--max-n", "4", "--format", "csv"],
+    ["table", "--max-n", "4", "--", "extra"],
+    ["table", "--", "--max-n", "4"],
+    ["series", "--which", "A"],
+    ["series", "--which=D", "--order=9", "--weights", "w.json", "--format", "tsv"],
+    ["series", "--which", "E"],
+    ["series", "--order", "5"],
+    ["series", "--w", "A"],
+    ["verify"],
+    ["verify", "--workers", "2"],
+    ["verify", "--seed", "1", "--seed", "2"],
+    ["verify", "-x"],
+    ["verify", "--weighted", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_parse_matches_the_full_tree(capsys, argv):
+    try:
+        full = cli_module._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        expected = (exc.code, *capsys.readouterr())
+        assert invoke(capsys, *argv) == expected
+    else:
+        name, args = cli_module._parse(argv)
+        assert name == full.command
+        assert vars(args) == {k: v for k, v in vars(full).items() if k != "command"}
+
+
 class TestDeterminism:
     def test_repeated_invocations_are_byte_identical(self, capsys):
         calls = [
@@ -458,6 +539,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_console_script_reads_sys_argv(capsys):
+    argv = ["table", "--max-n", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "purecross.cli", *argv],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "purecross.cli", *argv, "extra"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == "purecross: error: unrecognized arguments: extra"
 
 
 def test_closed_stdout_exits_141_without_traceback():

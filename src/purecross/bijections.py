@@ -254,7 +254,9 @@ class WeightAssignment:
     weigh 1.  ``w[pi]`` is the defaulted lookup of a :class:`Partition`.
 
     The JSON form is a list of ``{"partition": "1,3|2,4", "weight":
-    "7/2"}`` entries, weights as exact fraction strings.
+    "7/2"}`` entries, weights as integers or ``p/q`` strings.  A weight
+    string in exponent notation, or with a zero denominator, raises
+    ``ValueError``.
     """
 
     # Keyed by the rgs tuple, which alone fixes the partition (n is its
@@ -270,7 +272,12 @@ class WeightAssignment:
                     raise ValueError(f"{pi} is not a purely crossing partition")
                 if isinstance(value, (float, bool)):
                     raise TypeError("float and bool weights are not allowed; use Fraction or str")
-                table[pi.rgs] = Fraction(value)
+                if isinstance(value, str) and "e" in value.lower():  # 1e999999999 builds 10^999999999
+                    raise ValueError(f"weight {value!r} uses exponent notation; write an integer or p/q")
+                try:
+                    table[pi.rgs] = Fraction(value)
+                except ZeroDivisionError:
+                    raise ValueError(f"weight {value!r} has a zero denominator") from None
         self._weights = table
 
     def __getitem__(self, pi: Partition) -> Fraction:
@@ -314,11 +321,14 @@ class WeightAssignment:
                 raise ValueError(
                     f"weight {value!r} is a {type(value).__name__}; write it as a fraction string"
                 )
-            entries.append((Partition.parse(text), Fraction(value)))
+            entries.append((Partition.parse(text), value))
         return cls(entries)
 
 
-def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
+# Keyed by the rgs tuple, which hashes and compares in C; so are the keys
+# it returns and the weight table they are looked up in.
+@lru_cache(maxsize=_KEYS_KEPT)
+def _weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The purely crossing keys whose weights multiply to the weight of
     the partition with restricted-growth string ``rgs``, sorted, each as
     an rgs tuple; and whether its noncrossing cover is one block."""
@@ -326,7 +336,7 @@ def _rgs_weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
 
 
 def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """:func:`_rgs_weight_keys` given the root of each block, the first
+    """:func:`_weight_keys` given the root of each block, the first
     block of the cover block that holds it.
 
     Per cover block this is :func:`cover_decompose`, :func:`contract` and
@@ -356,11 +366,6 @@ def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
             keys.append(tuple(piece))
     keys.sort()
     return tuple(keys), not any(root)
-
-
-# Keyed by the rgs tuple, which hashes and compares in C; so are the keys
-# it returns and the weight table they are looked up in.
-_weight_keys = lru_cache(maxsize=_KEYS_KEPT)(_rgs_weight_keys)
 
 
 def _product(keys, w):

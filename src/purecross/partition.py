@@ -162,9 +162,13 @@ class Partition:
             if tok.isdigit():
                 if not expect_atom:
                     raise ParseError("expected ',' or '|'", text, pos)
-                if int(tok) == 0:
+                try:
+                    atom = int(tok)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("atom number has too many digits", text, pos) from None
+                if atom == 0:
                     raise ParseError("atom numbers start at 1", text, pos)
-                current.append(int(tok))
+                current.append(atom)
                 expect_atom = False
             elif tok == ",":
                 if expect_atom:

@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .bijections import _ONE, WeightAssignment, _keys_from_roots
+from .bijections import WeightAssignment, _keys_from_roots
 from .enumeration import _iter_rgs_no_singletons
 from .series import Series, _integral, solve_fixpoint
 
@@ -131,18 +131,18 @@ def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
     return b, c, d
 
 
-# Plans, and walks of singleton-free strings, of this many sizes are
-# kept, the most recently used.
-_PLANS_KEPT = 16
+# Walks of singleton-free strings of this many lengths are kept, the
+# most recently used.
+_ROWS_KEPT = 16
 
 
-@lru_cache(maxsize=_PLANS_KEPT)
+@lru_cache(maxsize=_ROWS_KEPT)
 def _singleton_free_rows(m: int):
     """The singleton-free partitions of m atoms as rows (keys, (a, b, c,
     d)), one per distinct tuple of purely crossing keys: d counts them
     all, c the connected ones among them, b and a the no-neighbor
     connected and purely crossing ones.  Each string is walked once per
-    process, whichever plans need it, and the walk hands over the cover
+    process, whichever sizes need it, and the walk hands over the cover
     roots of each string along with it."""
     rows = defaultdict(lambda: [0, 0, 0, 0])
     for rgs, root in _iter_rgs_no_singletons(m):
@@ -159,69 +159,51 @@ def _singleton_free_rows(m: int):
     return tuple((keys, tuple(counts)) for keys, counts in rows.items())
 
 
-@lru_cache(maxsize=_PLANS_KEPT)
-def _transport_plan(n: int):
-    """The degree-n brute-force sums as rows (keys, (a, b, c, d)), one per
-    distinct tuple of purely crossing keys: a purely crossing, b
-    no-neighbor connected, c connected and d arbitrary partitions of n
-    atoms each weigh the product of ``w[key]`` over ``keys``.  A key is
-    the rgs tuple of its partition, the form the weight table is keyed
-    by, so no key is ever built into a :class:`Partition`.
-
-    The plan is put together from the singleton-free rows of every
-    length m <= n (:func:`_singleton_free_rows`).  A singleton crosses
-    nothing and contracts to the single atom, so it has no key, and
-    removing the singletons of a partition leaves its cover pieces and
-    keys unchanged.  The members of D with exactly m atoms in
-    non-singleton blocks are the pairs (m-subset of [n], singleton-free
-    partition of [m]), so D_n[K] = sum_m C(n, m) SF_m[K].  A connected
-    partition with n >= 2 has no singleton, so A, B and C are the rows of
-    length n; the single atom is connected, no-neighbor and keyless."""
-    rows = defaultdict(lambda: [0, 0, 0, 0])
-    for m in range(n + 1):
-        ways = comb(n, m)
-        for keys, counts in _singleton_free_rows(m):
-            row = rows[keys]
-            if m == n:
-                row[:3] = counts[:3]
-            row[3] += ways * counts[3]
-    if n == 1:
-        rows[()][1:3] = [1, 1]
-    return tuple((keys, tuple(mults)) for keys, mults in rows.items())
-
-
 def weighted_brute_coeffs(
     n: int, w: WeightAssignment
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The degree-n coefficients of A, B, C, D computed the slow, direct
-    way: sum the transported weight of every member of each family.
+    way: sum the transported weight of every member of each family, the
+    product of ``w[key]`` over its purely crossing keys.  A key is the
+    rgs tuple of its partition, as the weight table is keyed, so no key
+    is ever built into a :class:`Partition`.
 
-    The sum runs over the transport plan of n, which counts how often each
-    tuple of purely crossing keys occurs in each family.  Members with
-    singleton blocks are counted through C(n, m) rather than walked, and
-    every plan shares one walk per length of the singleton-free strings
-    (see :func:`_transport_plan`), so the first call for each size pays
-    for the walks and later weight assignments only for the sum.  Each
-    weight is read from the assignment's table by the key's rgs tuple,
-    a lookup that hashes and compares in C.  The sum is taken on ints:
-    every weight is scaled by the lcm L of the weight denominators, a
-    row of k keys by L^(depth - k) more, depth being the most keys in a
-    row, and each coefficient is divided by L^depth once at the end."""
+    A singleton crosses nothing and contracts to the single atom, so it
+    has no key, and removing the singletons of a partition leaves its
+    cover pieces and keys unchanged.  The members of D with exactly m
+    atoms in non-singleton blocks are the pairs (m-subset of [n],
+    singleton-free partition of [m]), so D sums C(n, m) times the rows of
+    length m (:func:`_singleton_free_rows`, walked once per length).  A
+    connected partition with n >= 2 has no singleton, so A, B and C are
+    the rows of length n; the single atom is connected, no-neighbor and
+    keyless.
+
+    The sum is taken on ints.  With L the lcm of the weight denominators,
+    an assigned key weighs L w[key] and an unassigned one L.  Keys are
+    purely crossing partitions of at least 4 atoms, on disjoint atoms, so
+    a row has at most depth = n // 4 of them; a row of k keys is scaled
+    by L^(depth - k) more, and each coefficient divided by L^depth once."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    plan = _transport_plan(n)
-    weight = w._weights.get  # keys and table are both rgs tuples
-    rows = [([weight(key, _ONE) for key in keys], mults) for keys, mults in plan]
-    scale = lcm(*(q.denominator for weights, _ in rows for q in weights))
-    depth = max(len(weights) for weights, _ in rows)
-    totals = [0, 0, 0, 0]
-    for weights, mults in rows:
-        value = scale ** (depth - len(weights))
-        for q in weights:
-            value *= q.numerator * (scale // q.denominator)
-        for j, mult in enumerate(mults):
-            totals[j] += mult * value
-    return tuple(Fraction(total, scale**depth) for total in totals)
+    weights = w._weights  # keys and table are both rgs tuples
+    scale = lcm(*(q.denominator for q in weights.values()))
+    weight = {key: q.numerator * (scale // q.denominator) for key, q in weights.items()}.get
+    depth = n // 4
+    d = 0
+    for m in range(n + 1):
+        a = b = c = d_m = 0
+        for keys, (ka, kb, kc, kd) in _singleton_free_rows(m):
+            value = scale ** (depth - len(keys))
+            for key in keys:
+                value *= weight(key, scale)
+            a += ka * value
+            b += kb * value
+            c += kc * value
+            d_m += kd * value
+        d += comb(n, m) * d_m
+    if n == 1:
+        b = c = 1
+    return tuple(Fraction(total, scale**depth) for total in (a, b, c, d))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from purecross import (
     pc_plus_weight,
 )
 from purecross import bijections
-from purecross.bijections import _rgs_weight_keys
 from purecross.enumeration import _iter_rgs_plain
 
 
@@ -302,6 +301,20 @@ class TestWeights:
         with pytest.raises(ValueError):
             WeightAssignment.from_json([{"partition": "1,3|2,4", "weight": True}])
 
+    def test_rejects_exponents_and_zero_denominators(self):
+        # Exponent notation is refused before Fraction could build the
+        # power; a zero denominator is a ValueError like any bad weight.
+        pi = Partition.parse("1,3|2,4")
+        for text, message in (
+            ("1e999999999", "exponent"),
+            ("-3E-999999999", "exponent"),
+            ("1/0", "zero denominator"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                WeightAssignment({pi: text})
+            with pytest.raises(ValueError, match=message):
+                WeightAssignment.from_json([{"partition": str(pi), "weight": text}])
+
     def test_accepts_strings_and_integers(self):
         pi = Partition.parse("1,3|2,4")
         assert WeightAssignment({pi: "7/2"})[pi] == Fraction(7, 2)
@@ -440,6 +453,7 @@ class TestWeights:
         # The rgs key kernel against cover_decompose -> contract ->
         # pc_plus_decompose, one partition at a time; the cover is whole
         # exactly when the decomposition has one piece.
+        keys_of = bijections._weight_keys.__wrapped__
         for n in range(1, 10):
             for pi in iterate(n, PartitionClass.ALL):
                 pieces = cover_decompose(pi).pieces
@@ -448,20 +462,21 @@ class TestWeights:
                     base, _ = contract(piece)
                     if base.n > 1:
                         expected.append(pc_plus_decompose(base).base.rgs)
-                got = _rgs_weight_keys(pi.rgs)
+                got = keys_of(pi.rgs)
                 assert got == (tuple(sorted(expected)), len(pieces) == 1), pi
-        assert _rgs_weight_keys(()) == ((), True)
+        assert keys_of(()) == ((), True)
 
     def test_singletons_carry_no_keys(self):
         # Dropping the singleton blocks and relabeling the other atoms in
-        # order leaves the keys unchanged, which lets the transport plan
-        # walk singleton-free strings only.
+        # order leaves the keys unchanged, which lets the weighted brute
+        # sums walk singleton-free strings only.
+        keys_of = bijections._weight_keys.__wrapped__
         for n in range(1, 10):
             for rgs in _iter_rgs_plain(n):
                 kept = [v for v in rgs if rgs.count(v) > 1]
                 label = {}
                 reduced = [label.setdefault(v, len(label)) for v in kept]
-                assert _rgs_weight_keys(reduced)[0] == _rgs_weight_keys(rgs)[0], rgs
+                assert keys_of(reduced)[0] == keys_of(rgs)[0], rgs
 
     def test_key_caches_are_bounded(self):
         # One bounded cache, keyed by the rgs, serves all three weight

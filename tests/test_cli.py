@@ -233,6 +233,8 @@ class TestSeries:
             '[{"partition": "1,3|2,4", "weight": [1]}]',
             '[{"partition": "1,3|2,4", "weight": null}]',
             '[{"partition": "1,3|2,4", "weight": {}}]',
+            '[{"partition": "1,3|2,4", "weight": "1/0"}]',
+            '[{"partition": "1,3|2,4", "weight": "1e999999999"}]',
         ],
     )
     def test_malformed_weights_rejected(self, capsys, tmp_path, text):
@@ -345,6 +347,7 @@ EXIT_CODES = [
     (["classify", "1,3|2,4"], 0, None),
     (["classify", "1,3"], 2, None),
     (["classify", "1,3|2,x"], 2, None),
+    (["classify", "1" * 5000], 2, None),
     (["enumerate", "--n", "3"], 0, None),
     (["enumerate", "--n", "0"], 2, None),
     (["enumerate"], 2, None),
@@ -389,7 +392,11 @@ EXIT_CODES = [
 @pytest.mark.parametrize(
     "argv, expected, prepare",
     EXIT_CODES,
-    ids=[f"{' '.join(argv)}->{code}" for argv, code, _ in EXIT_CODES],
+    # A word longer than 40 characters is named by its length.
+    ids=[
+        " ".join(a if len(a) <= 40 else f"<{len(a)} chars>" for a in argv) + f"->{code}"
+        for argv, code, _ in EXIT_CODES
+    ],
 )
 def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, expected, prepare):
     monkeypatch.chdir(tmp_path)

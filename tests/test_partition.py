@@ -105,6 +105,10 @@ class TestTextForms:
             Partition.parse("1,2|")
         with pytest.raises(PartitionError, match="uncovered"):
             Partition.parse("1,3")
+        # More digits than int() converts is a parse error at that atom.
+        with pytest.raises(ParseError, match="too many digits") as info:
+            Partition.parse("1,2|" + "1" * 5000)
+        assert info.value.pos == 4
 
     def test_huge_atom_fails_in_bounded_memory(self):
         for build in (

@@ -1,5 +1,6 @@
 """Series pipelines, the counts table, and the weighted cross-checks."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -26,7 +27,6 @@ from purecross import (
 )
 from purecross import pipeline
 from purecross.enumeration import _iter_rgs_no_singletons
-from purecross.pipeline import _transport_plan
 
 from oracles import PUBLISHED_COUNTS, bell_brute, catalan
 
@@ -194,9 +194,10 @@ class TestForwardPipeline:
 class TestWeightedBrute:
     def test_unweighted_rows_match_published_counts(self):
         w = WeightAssignment()
-        for n in range(1, 8):
+        for n in range(1, 10):
             a, b, c, d = weighted_brute_coeffs(n, w)
-            assert (a, b, c, d) == PUBLISHED_COUNTS[n]
+            assert (a, b, c, d) == PUBLISHED_COUNTS[n], n
+            assert d == bell_brute(n), n
 
     def test_single_assignment_example(self):
         w = WeightAssignment({Partition.parse("1,3|2,4"): Fraction(7, 2)})
@@ -230,23 +231,15 @@ class TestWeightedBrute:
         with pytest.raises(ValueError):
             weighted_brute_coeffs(0, WeightAssignment())
 
-    def test_plan_multiplicities_are_family_sizes(self):
-        for n in range(1, 10):
-            columns = zip(*(mults for _, mults in _transport_plan(n)))
-            sizes = tuple(sum(column) for column in columns)
-            assert sizes == PUBLISHED_COUNTS[n], n
-            assert sizes[3] == bell_brute(n), n
-
     @staticmethod
-    def _fresh_plans(sizes):
-        pipeline._transport_plan.cache_clear()
+    def _fresh_sums(sizes, w):
         pipeline._singleton_free_rows.cache_clear()
-        plans = {n: _transport_plan(n) for n in sizes}
-        return [plans[n] for n in range(1, 10)]
+        sums = {n: weighted_brute_coeffs(n, w) for n in sizes}
+        return [sums[n] for n in range(1, 10)]
 
     def test_each_singleton_free_string_is_walked_once(self, monkeypatch):
         # 4,361 singleton-free strings have lengths 0..9 (OEIS A000296),
-        # and plans 1..9 share their walks.
+        # and the sums for n = 1..9 share their walks, in either order.
         walked = []
 
         def counted(m):
@@ -255,12 +248,33 @@ class TestWeightedBrute:
                 yield rgs, root
 
         monkeypatch.setattr(pipeline, "_iter_rgs_no_singletons", counted)
-        self._fresh_plans(range(1, 10))
-        assert len(walked) == len(set(walked)) == 4361
+        for sizes in (range(1, 10), [9, *range(1, 9)]):
+            walked.clear()
+            self._fresh_sums(sizes, WeightAssignment())
+            assert len(walked) == len(set(walked)) == 4361
 
-    def test_plans_do_not_depend_on_build_order(self):
-        backwards = self._fresh_plans([9, *range(1, 9)])
-        assert self._fresh_plans(range(1, 10)) == backwards
+    def test_sums_do_not_depend_on_call_order(self):
+        for w in self._weight_sets():
+            backwards = self._fresh_sums([9, *range(1, 9)], w)
+            assert self._fresh_sums(range(1, 10), w) == backwards
+
+    def test_weights_beyond_n_leave_the_counts(self):
+        # Large coprime denominators on keys of more than n atoms raise
+        # the common scale L, which the sum of degree n divides out again.
+        rnd = random.Random(29)
+        primes = (9973, 10007, 10009, 10037, 10039)
+        for n in range(1, 8):
+            w = WeightAssignment(
+                {
+                    pi: Fraction(rnd.randint(-10**6, 10**6), prime)
+                    for size in range(max(n + 1, 4), 9)
+                    for pi, prime in zip(
+                        iterate(size, PartitionClass.PURELY_CROSSING),
+                        itertools.cycle(primes),
+                    )
+                }
+            )
+            assert weighted_brute_coeffs(n, w) == PUBLISHED_COUNTS[n], n
 
     @staticmethod
     def _weight_sets():

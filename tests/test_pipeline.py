@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -196,6 +197,20 @@ class TestWeightedBrute:
         w = WeightAssignment()
         for n in range(1, 10):
             a, b, c, d = weighted_brute_coeffs(n, w)
+            assert (a, b, c, d) == PUBLISHED_COUNTS[n], n
+            assert d == bell_brute(n), n
+
+    def test_plan_multiplicities_are_family_sizes(self):
+        # The rows' multiplicities, summed, are the family sizes: A, B
+        # and C count the rows of length n >= 2, D sums C(n, m) times the
+        # rows of length m.
+        def column_sums(m):
+            rows = pipeline._singleton_free_rows(m)
+            return [sum(counts[i] for _, counts in rows) for i in range(4)]
+
+        for n in range(2, 10):
+            a, b, c, _ = column_sums(n)
+            d = sum(comb(n, m) * column_sums(m)[3] for m in range(n + 1))
             assert (a, b, c, d) == PUBLISHED_COUNTS[n], n
             assert d == bell_brute(n), n
 

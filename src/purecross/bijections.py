@@ -28,6 +28,7 @@ weights of its cover pieces, the empty partition weighing 1.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .partition import Partition, _rgs_roots
 
@@ -257,11 +258,16 @@ class WeightAssignment:
     "7/2"}`` entries, weights as integers or ``p/q`` strings.  A weight
     string in exponent notation, or with a zero denominator, raises
     ``ValueError``.
+
+    The assignment is immutable, so its integer form is computed once,
+    when it is built: ``_scale`` is L, the lcm of the weight
+    denominators (1 when nothing is assigned), and ``_scaled`` maps each
+    assigned key to the integer L w[key].
     """
 
     # Keyed by the rgs tuple, which alone fixes the partition (n is its
     # length) and hashes and compares in C, as the weight keys do.
-    __slots__ = ("_weights",)
+    __slots__ = ("_weights", "_scale", "_scaled")
 
     def __init__(self, weights=None):
         table = {}
@@ -279,6 +285,8 @@ class WeightAssignment:
                 except ZeroDivisionError:
                     raise ValueError(f"weight {value!r} has a zero denominator") from None
         self._weights = table
+        self._scale = scale = lcm(*(q.denominator for q in table.values()))
+        self._scaled = {key: q.numerator * (scale // q.denominator) for key, q in table.items()}
 
     def __getitem__(self, pi: Partition) -> Fraction:
         if not isinstance(pi, Partition):

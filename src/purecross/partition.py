@@ -22,6 +22,7 @@ in different blocks).
 """
 
 import re
+from operator import eq
 
 
 class PartitionError(ValueError):
@@ -269,7 +270,7 @@ class Partition:
     def has_neighbors(self) -> bool:
         """True iff some block contains two adjacent atoms k, k + 1."""
         rgs = self.rgs
-        return any(rgs[i] == rgs[i + 1] for i in range(len(rgs) - 1))
+        return any(map(eq, rgs, rgs[1:]))
 
     def is_connected(self) -> bool:
         """True iff no proper subinterval {p+1, .., p+q} (q < n) splits the

@@ -4,7 +4,8 @@ Writing A, B, C, D for the weighted counting series of the purely
 crossing, no-neighbor connected, connected, and arbitrary families, the
 decompositions in :mod:`purecross.bijections` force
 
-* ``B = x + (1 + x) * A``        (adjoin-last-atom split; O(m) backward),
+* ``B = x + (1 + x) * A``        (adjoin-last-atom split; O(m) both ways,
+  a running sum forward and a running difference backward),
 * ``C = B(x / (1 - x))``        (run inflation; Horner's rule, O(m^2) additions),
 * ``D = 1 + C(x * D)``          (gap decomposition; backward, a triangular solve
   on the powers of D, m^3 / 6 products; forward, Lagrange inversion).
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, lcm
-from operator import mul
+from math import comb
+from operator import add, mul, ne
 
 from .bijections import WeightAssignment, _keys_from_roots
 from .enumeration import _iter_rgs_no_singletons
@@ -119,13 +120,16 @@ def derive_a_from_b(b: Series) -> Series:
 
 
 def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
-    """From a weight series A, produce (B, C, D) at the same order."""
+    """From a weight series A, produce (B, C, D) at the same order.
+    B = x + (1 + x) A is the running sum b_n = a_n + a_(n-1) + [n = 1],
+    the mirror of :func:`derive_a_from_b`, O(m)."""
     if a[0] != 0:
         raise ValueError("constant term must be 0")
     order = a.order
     if order < 1:
         raise ValueError("need order >= 1")
-    b = Series.x(order) + Series([1, 1], order=order) * a
+    coeffs = a.coeffs
+    b = Series([_ZERO, coeffs[1] + 1, *map(add, coeffs[2:], coeffs[1:])], order=order)
     c = _binomial(b, 1)
     d = solve_fixpoint(c)
     return b, c, d
@@ -152,7 +156,7 @@ def _singleton_free_rows(m: int):
         if not whole or not rgs:  # the empty partition counts in d only
             continue
         row[2] += 1
-        if all(u != v for u, v in zip(rgs, rgs[1:])):
+        if all(map(ne, rgs, rgs[1:])):
             row[1] += 1
             if rgs[-1] != 0:
                 row[0] += 1
@@ -178,32 +182,43 @@ def weighted_brute_coeffs(
     the rows of length n; the single atom is connected, no-neighbor and
     keyless.
 
-    The sum is taken on ints.  With L the lcm of the weight denominators,
-    an assigned key weighs L w[key] and an unassigned one L.  Keys are
-    purely crossing partitions of at least 4 atoms, on disjoint atoms, so
-    a row has at most depth = n // 4 of them; a row of k keys is scaled
-    by L^(depth - k) more, and each coefficient divided by L^depth once."""
+    The sum is taken on ints, on the integer weights the assignment
+    computed when it was built: with L its scale, an assigned key weighs
+    L w[key] and an unassigned one L.  Keys are purely crossing
+    partitions of at least 4 atoms, on disjoint atoms, so a row has at
+    most depth = n // 4 of them; a row of k keys is scaled by
+    L^(depth - k) more, and each coefficient divided by L^depth once.
+    The rows of length m < n add to D alone; one pass over the rows of
+    length n gives A, B, C and the last term of D."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    weights = w._weights  # keys and table are both rgs tuples
-    scale = lcm(*(q.denominator for q in weights.values()))
-    weight = {key: q.numerator * (scale // q.denominator) for key, q in weights.items()}.get
+    scale = w._scale
+    weight = w._scaled.get  # keys and table are both rgs tuples
     depth = n // 4
+    powers = [scale**j for j in range(depth + 1)]  # L^j, j = 0 .. depth
+    # The row value is computed inline in both loops: a generator shared
+    # by them cost about a fifth of a trial after the first.
     d = 0
-    for m in range(n + 1):
-        a = b = c = d_m = 0
-        for keys, (ka, kb, kc, kd) in _singleton_free_rows(m):
-            value = scale ** (depth - len(keys))
+    for m in range(n):
+        d_m = 0
+        for keys, counts in _singleton_free_rows(m):
+            value = powers[depth - len(keys)]
             for key in keys:
                 value *= weight(key, scale)
-            a += ka * value
-            b += kb * value
-            c += kc * value
-            d_m += kd * value
+            d_m += counts[3] * value
         d += comb(n, m) * d_m
+    a = b = c = 0
+    for keys, (ka, kb, kc, kd) in _singleton_free_rows(n):
+        value = powers[depth - len(keys)]
+        for key in keys:
+            value *= weight(key, scale)
+        a += ka * value
+        b += kb * value
+        c += kc * value
+        d += kd * value
     if n == 1:
         b = c = 1
-    return tuple(Fraction(total, scale**depth) for total in (a, b, c, d))
+    return tuple(Fraction(total, powers[depth]) for total in (a, b, c, d))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ class Series:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order=None):
-        vals = [_to_fraction(c) for c in coeffs]
+        # A Fraction is immutable, so one given is kept rather than copied.
+        vals = [c if type(c) is Fraction else _to_fraction(c) for c in coeffs]
         if order is None:
             if not vals:
                 raise ValueError("need coefficients or an explicit order")

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -314,6 +315,29 @@ class TestWeights:
                 WeightAssignment({pi: text})
             with pytest.raises(ValueError, match=message):
                 WeightAssignment.from_json([{"partition": str(pi), "weight": text}])
+
+    def test_integer_weights_are_the_scaled_table(self):
+        # L is the lcm of the denominators and each assigned key weighs
+        # L w[key] as an int: on the empty assignment (L = 1), small
+        # rationals, prime denominators near 10^4, and zeros with negatives.
+        rnd = random.Random(41)
+        support = [pi for n in range(4, 8) for pi in iterate(n, PartitionClass.PURELY_CROSSING)]
+        primes = (9973, 10007, 10009, 10037, 10039)
+        sets = [
+            {},
+            {pi: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for pi in support},
+            {pi: Fraction(rnd.randint(-10**6, 10**6), rnd.choice(primes)) for pi in support},
+            {pi: rnd.choice((0, -1, -5, Fraction(-3, 7))) for pi in support},
+        ]
+        for weights in sets:
+            w = WeightAssignment(weights)
+            assert w._scale == lcm(*(Fraction(v).denominator for v in weights.values()))
+            assert w._scaled.keys() == {pi.rgs for pi in weights}
+            for pi, value in weights.items():
+                assert type(w._scaled[pi.rgs]) is int
+                assert Fraction(w._scaled[pi.rgs], w._scale) == value == w[pi]
+        assert WeightAssignment()._scale == 1
+        assert WeightAssignment(sets[2])._scale > 10**12
 
     def test_accepts_strings_and_integers(self):
         pi = Partition.parse("1,3|2,4")

@@ -212,6 +212,7 @@ class TestPredicates:
         assert not Partition.parse("1,3,5|2,4,6").has_neighbors()
         assert Partition.whole(2).has_neighbors()
         assert not Partition.whole(1).has_neighbors()
+        assert not Partition(0, []).has_neighbors()
 
     def test_connected_examples(self):
         assert Partition.parse("1,3|2,4").is_connected()

@@ -1,5 +1,6 @@
 """Series pipelines, the counts table, and the weighted cross-checks."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -185,6 +186,18 @@ class TestForwardPipeline:
         a_back = derive_a_from_b(b_back)
         assert a_back == a.truncate(a_back.order)
 
+    def test_b_is_the_general_product(self):
+        # The running sum for B agrees with x + (1 + x) * A as a product
+        # of series, on seeded rational A at small and large orders.
+        rnd = random.Random(43)
+        for order in (1, 2, 9, 30):
+            a = Series(
+                [0] + [Fraction(rnd.randint(-99, 99), rnd.randint(1, 99)) for _ in range(order)],
+                order=order,
+            )
+            b, _, _ = forward_weighted(a)
+            assert b == Series.x(order) + Series([1, 1], order=order) * a, order
+
     def test_validation(self):
         with pytest.raises(ValueError):
             forward_weighted(Series([1, 1]))
@@ -313,6 +326,18 @@ class TestWeightedBrute:
         sets.append({pi: rnd.choice((0, -1, -5, Fraction(-3, 7))) for pi in support})
         sets.append({})
         return [WeightAssignment(weights) for weights in sets]
+
+    def test_sums_match_pinned_digest(self):
+        # The exact sums for n <= 10 over the six weight sets, pinned to
+        # the digest of the implementation that summed every column of
+        # every length.
+        lines = [
+            f"{i} {n} " + " ".join(map(str, weighted_brute_coeffs(n, w)))
+            for i, w in enumerate(self._weight_sets())
+            for n in range(1, 11)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "94573ef440e553843381a11b7addff57f2ce13358271bf990f19713a5c5f2c17"
 
     def test_matches_per_member_sums(self):
         # Each member weighs the product of connected_weight over the

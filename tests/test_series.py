@@ -41,6 +41,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Series.x(0)
 
+    def test_keeps_a_given_fraction(self):
+        # A Fraction is immutable, so the series keeps the one it is
+        # given; ints and strings are still converted, floats and bools
+        # still refused.
+        q = Fraction(7, 3)
+        assert Series([q]).coeffs[0] is q
+        assert Series([q, 2, "1/2"]).coeffs == (q, Fraction(2), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in Series([q, 2, "1/2"]).coeffs)
+        for bad in (0.5, True, False):
+            with pytest.raises(TypeError):
+                Series([q, bad])
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Series([0, 0.5])

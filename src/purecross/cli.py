@@ -6,31 +6,16 @@ stdout.  Exit codes: 0 success, 1 verification or consistency failure,
 2 usage or input errors, 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as in ``purecross enumerate --n 9 | head -1``.
 
-Every command takes bounded work, and a size above its limit exits 2.
-``enumerate --n``, ``count --n`` and ``verify --max-n`` are at most 12;
-on 2 CPUs (a faster host than the one that timed ``table`` and
-``series`` below), ``enumerate --n 12`` (4,213,597 lines) took 26 s and
-``count --n 12 --class co`` 0.9 s.  On another 2-CPU host,
-``verify --max-n 12`` took 17-22 s, and the same checks at 13 took 57 s.
-``verify --weighted-trials`` is at most 250; on that host ``verify``
-took 2.4 s with the default 20 trials and 11.9 s with 250, so a trial
-costs about 40 ms at the default depth, and ``verify --max-n 12`` took
-55 s with 250 trials, about 0.15 s a trial.
-``table --max-n`` is at most 350 and ``series --order`` at most 250.
-Their cost grows about as the fourth power of the size, since the number
-of integer products is cubic and their digits grow with the size too.
-``series`` cost also grows with the lcm of the denominators of the
-weights that reach it (those on partitions of at most ``--order``
-atoms), and that lcm has at most 6 digits.  On 2 CPUs, ``table --max-n
-350`` took 3.4 s, and ``series --which D --order 250`` 2.5 s unweighted,
-5.1 s with denominators 2, 13 and 9, and 10-12 s with a 6-digit lcm,
-against 18 s with 8 digits and 31 s with 12.  The numerators of those
-weights have at most 30 digits, which also keeps every coefficient
-printable (Python converts ints of at most 4,300 digits to text): with
-one weight of 30 digits, ``series --which D --order 250`` took 5.0 s,
-and 17.8 s with a 6-digit denominator under it, against 11.8 s for a
-7-digit numerator over the same denominator; with an 80-digit weight it
-ran 9.7 s and then could not print its result.
+Every command takes bounded work.  ``enumerate --n``, ``count --n`` and
+``verify --max-n`` are at most 12, ``verify --weighted-trials`` at most
+250, ``table --max-n`` at most 350 and ``series --order`` at most 250;
+``count --workers`` has no upper limit.  ``series`` also refuses weights
+that reach its order (those on partitions of at most ``--order`` atoms)
+when the lcm of their denominators has more than 6 digits or a numerator
+more than 30.  Every size is an int of at least 1; any other value exits
+2 with argparse's message, such as ``purecross table: error: argument
+--max-n: must be at most 350``.  The README gives the timings behind
+these limits.
 """
 
 import argparse
@@ -55,7 +40,8 @@ from .verify import run_checks
 
 _CLASS_CHOICES = [cls.value for cls in PartitionClass]
 
-# Largest accepted sizes (see the module docstring).
+# Largest accepted sizes (see the module docstring); each subcommand's
+# parser reads its limits when it is built.
 _TABLE_MAX_N = 350
 _SERIES_MAX_ORDER = 250
 _SERIES_MAX_DEN_DIGITS = 6  # of the lcm of the weights' denominators
@@ -71,14 +57,21 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _bad_size(flag: str, value: int, limit: int):
-    """Exit code 2, with a message, for a size below 1 or above ``limit``;
-    None for a size in range."""
-    if value < 1:
-        return _fail(f"{flag} must be at least 1")
-    if value > limit:
-        return _fail(f"{flag} must be at most {limit}")
-    return None
+def _size(limit=None):
+    """An argparse type: an int of at least 1 and, given a limit, at most
+    ``limit``.  argparse prints a range error after the flag's name, and
+    text that is not an int as ``invalid int value: 'x'``."""
+
+    def size(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError("must be at least 1")
+        if limit is not None and value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}")
+        return value
+
+    size.__name__ = "int"  # the type argparse names when int() fails
+    return size
 
 
 def _fail_parse(exc: ParseError) -> int:
@@ -110,8 +103,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if code := _bad_size("--n", args.n, _ENUMERATE_MAX_N):
-        return code
     members = iterate(args.n, PartitionClass(args.cls))
     if args.format == "json":
         # The bytes of json.dumps on the list, written one member at a
@@ -128,17 +119,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if code := _bad_size("--n", args.n, _COUNT_MAX_N):
-        return code
-    if args.workers < 1:
-        return _fail("--workers must be at least 1")
     print(count(args.n, PartitionClass(args.cls), workers=args.workers))
     return 0
 
 
 def _cmd_table(args) -> int:
-    if code := _bad_size("--max-n", args.max_n, _TABLE_MAX_N):
-        return code
     try:
         table = counts_table(args.max_n)
     except RuntimeError as exc:
@@ -152,8 +137,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if code := _bad_size("--order", args.order, _SERIES_MAX_ORDER):
-        return code
     order = args.order
     w = WeightAssignment()
     if args.weights is not None:
@@ -195,10 +178,6 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if code := _bad_size("--max-n", args.max_n, _VERIFY_MAX_N):
-        return code
-    if code := _bad_size("--weighted-trials", args.weighted_trials, _VERIFY_MAX_TRIALS):
-        return code
     ok = run_checks(max_n=args.max_n, trials=args.weighted_trials, seed=args.seed)
     return 0 if ok else 1
 
@@ -208,25 +187,25 @@ def _classify_arguments(p):
 
 
 def _enumerate_arguments(p):
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size(_ENUMERATE_MAX_N), required=True)
     p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="all")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
 
 
 def _count_arguments(p):
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size(_COUNT_MAX_N), required=True)
     p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="all")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_size(), default=1)
 
 
 def _table_arguments(p):
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_size(_TABLE_MAX_N), required=True)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
 
 def _series_arguments(p):
     p.add_argument("--which", choices=["A", "B", "C", "D"], required=True)
-    p.add_argument("--order", type=int, default=15)
+    p.add_argument("--order", type=_size(_SERIES_MAX_ORDER), default=15)
     p.add_argument(
         "--weights",
         metavar="FILE",
@@ -237,8 +216,8 @@ def _series_arguments(p):
 
 
 def _verify_arguments(p):
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--weighted-trials", type=int, default=20)
+    p.add_argument("--max-n", type=_size(_VERIFY_MAX_N), default=7)
+    p.add_argument("--weighted-trials", type=_size(_VERIFY_MAX_TRIALS), default=20)
     p.add_argument("--seed", type=int, default=0)
 
 

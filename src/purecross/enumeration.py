@@ -225,10 +225,18 @@ def _count_chunk(args):
     return sum(_count_serial(n, cls, prefix) for prefix in prefixes)
 
 
+def _check_size(name, value):
+    """Refuse, with ValueError, a size that is not an int (a bool is not)
+    or is below 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def iterate(n, cls=PartitionClass.ALL):
     """Yield the members of the family in lexicographic rgs order."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size("n", n)
     members = _members(n, PartitionClass(cls))
     return (Partition.from_rgs(rgs) for rgs in members)
 
@@ -248,10 +256,8 @@ def count(n, cls=PartitionClass.ALL, workers=1):
     this process may run on; the total does not depend on the worker
     count.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_size("n", n)
+    _check_size("workers", workers)
     cls = PartitionClass(cls)
     workers = min(workers, _usable_cpus())
     if workers == 1 or n < _PARALLEL_MIN_N:

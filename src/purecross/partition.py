@@ -41,6 +41,24 @@ class ParseError(PartitionError):
 _TOKEN = re.compile(r"\d+|[,|]")
 
 
+def _atom(a, n: int) -> int:
+    """``a``, checked to be an atom of {1, .., n}: an int, not a bool."""
+    if not isinstance(a, int) or isinstance(a, bool):
+        raise PartitionError(f"atom {a!r} is not an integer")
+    if a < 1 or a > n:
+        raise PartitionError(f"atom {a} out of range 1..{n}")
+    return a
+
+
+def _check_ground(n, name: str) -> None:
+    """Refuse a ground set size for ``name(n)`` that is not an int of at
+    least 1."""
+    if type(n) is not int:
+        raise PartitionError(f"ground set size {n!r} is not an integer")
+    if n < 1:
+        raise PartitionError(f"{name}(n) needs n >= 1")
+
+
 def _canonical_blocks(n: int, raw_blocks) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Validate and canonicalize raw block data; return (blocks, rgs)."""
     if not isinstance(n, int) or isinstance(n, bool):
@@ -54,11 +72,7 @@ def _canonical_blocks(n: int, raw_blocks) -> tuple[tuple[tuple[int, ...], ...], 
         if not atoms:
             raise PartitionError("empty block")
         for a in atoms:
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise PartitionError(f"atom {a!r} is not an integer")
-            if a < 1 or a > n:
-                raise PartitionError(f"atom {a} out of range 1..{n}")
-            if a in seen:
+            if _atom(a, n) in seen:
                 raise PartitionError(f"atom {a} appears in more than one block")
             seen.add(a)
         cleaned.append(tuple(sorted(atoms)))
@@ -102,10 +116,12 @@ class Partition:
 
     @classmethod
     def from_rgs(cls, rgs) -> "Partition":
-        """Build from a restricted-growth string (``rgs[0] == 0``, each value
-        at most one more than the running maximum)."""
+        """Build from a restricted-growth string of ints (``rgs[0] == 0``,
+        each value at most one more than the running maximum)."""
         blocks: list[list[int]] = []
         for i, b in enumerate(rgs):
+            if type(b) is not int:
+                raise PartitionError(f"value {b!r} at position {i} is not an integer")
             if b == len(blocks):
                 blocks.append([i + 1])
             elif 0 <= b < len(blocks):
@@ -124,13 +140,13 @@ class Partition:
     @classmethod
     def singletons(cls, n: int) -> "Partition":
         """The finest partition: every atom alone."""
+        _check_ground(n, "singletons")
         return cls.from_rgs(tuple(range(n)))
 
     @classmethod
     def whole(cls, n: int) -> "Partition":
         """The coarsest partition: one block {1, .., n}."""
-        if n < 1:
-            raise PartitionError("whole(n) needs n >= 1")
+        _check_ground(n, "whole")
         return cls.from_rgs((0,) * n)
 
     @classmethod
@@ -234,10 +250,7 @@ class Partition:
     # -- predicates ---------------------------------------------------
 
     def same_block(self, i: int, j: int) -> bool:
-        for a in (i, j):
-            if not 1 <= a <= self.n:
-                raise PartitionError(f"atom {a} out of range 1..{self.n}")
-        return self.rgs[i - 1] == self.rgs[j - 1]
+        return self.rgs[_atom(i, self.n) - 1] == self.rgs[_atom(j, self.n) - 1]
 
     def splits(self, atoms) -> bool:
         """True iff ``atoms`` is a union of blocks (equivalently: every block
@@ -247,13 +260,7 @@ class Partition:
         >>> Partition.parse("1,3|2,5|4,6").splits({4, 6})
         True
         """
-        s = set()
-        for a in atoms:
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise PartitionError(f"atom {a!r} is not an integer")
-            if a < 1 or a > self.n:
-                raise PartitionError(f"atom {a} out of range 1..{self.n}")
-            s.add(a)
+        s = {_atom(a, self.n) for a in atoms}
         if not s:
             return True
         for block in self.blocks:
@@ -317,14 +324,9 @@ class Partition:
         """Intersect blocks with ``atoms`` and relabel order-preservingly to
         {1, .., len(atoms)}.  Restricting to no atoms gives the empty
         partition."""
-        kept = sorted(set(atoms))
+        kept = sorted({_atom(a, self.n) for a in atoms})
         if not kept:
             return Partition.empty()
-        for a in kept:
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise PartitionError(f"atom {a!r} is not an integer")
-            if a < 1 or a > self.n:
-                raise PartitionError(f"atom {a} out of range 1..{self.n}")
         relabel = {a: k + 1 for k, a in enumerate(kept)}
         keep = set(kept)
         new_blocks = []
@@ -343,7 +345,11 @@ class Partition:
         return all(self.splits(block) for block in other.blocks)
 
 
-# -- rgs-level predicate kernels (shared with the enumeration module) --
+# -- rgs-level predicate kernels -----------------------------------
+# They serve Partition (and _rgs_roots the key lookup in bijections).
+# Through Partition they are the independent references that verify and
+# the tests check the enumeration walkers, and the roots they carry,
+# against.
 
 
 def _rgs_noncrossing(rgs) -> bool:

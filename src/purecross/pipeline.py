@@ -28,7 +28,7 @@ from math import comb
 from operator import add, mul, ne
 
 from .bijections import WeightAssignment, _keys_from_roots
-from .enumeration import _iter_rgs_no_singletons
+from .enumeration import _check_size, _iter_rgs_no_singletons
 from .series import Series, _integral, solve_fixpoint
 
 _ZERO = Fraction(0)
@@ -190,8 +190,7 @@ def weighted_brute_coeffs(
     L^(depth - k) more, and each coefficient divided by L^depth once.
     The rows of length m < n add to D alone; one pass over the rows of
     length n gives A, B, C and the last term of D."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size("n", n)
     scale = w._scale
     weight = w._scaled.get  # keys and table are both rgs tuples
     depth = n // 4
@@ -256,8 +255,7 @@ def counts_table(max_n: int) -> CountsTable:
     series pipeline, enumerating nothing.  A coefficient that is not an
     integer raises RuntimeError: it would mean the series identities
     contradict themselves."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+    _check_size("max_n", max_n)
     d = bell_series(max_n + 1)
     c = derive_c_from_d(d)
     b = derive_b_from_c(c)

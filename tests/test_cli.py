@@ -446,6 +446,36 @@ def test_size_limits_are_inclusive(capsys, monkeypatch, tmp_path):
         assert (code, out) == (2, "") and "at most 3" in err, argv
 
 
+# Each size flag: the arguments before it, and its upper limit (None: none).
+SIZE_FLAGS = [
+    (["enumerate"], "--n", 12),
+    (["count"], "--n", 12),
+    (["count", "--n", "4"], "--workers", None),
+    (["table"], "--max-n", 350),
+    (["series", "--which", "A"], "--order", 250),
+    (["verify"], "--max-n", 12),
+    (["verify"], "--weighted-trials", 250),
+]
+
+
+def _bad_sizes():
+    for before, flag, limit in SIZE_FLAGS:
+        yield [*before, flag, "0"], f"argument {flag}: must be at least 1"
+        yield [*before, flag, "x"], f"argument {flag}: invalid int value: 'x'"
+        if limit is not None:
+            yield [*before, flag, str(limit + 1)], f"argument {flag}: must be at most {limit}"
+
+
+BAD_SIZES = list(_bad_sizes())
+
+
+@pytest.mark.parametrize("argv, message", BAD_SIZES, ids=[" ".join(a) for a, _ in BAD_SIZES])
+def test_bad_sizes_are_argparse_errors(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"purecross {argv[0]}: error: {message}\n")
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert run([]) == 2
@@ -489,7 +519,9 @@ PARSE_CORPUS = [
     ["count", "--n", "4", "--n", "5"],
     ["count", "--n", "4", "--cl", "co"],
     ["count", "--n"],
+    ["count", "--n", "13"],
     ["table", "--max-n", "40"],
+    ["table", "--max-n", "0"],
     ["table", "--max", "40"],
     ["table", "--max-n", "4", "extra"],
     ["table", "--max-n", "4", "--check-enum-up-to", "4"],
@@ -506,6 +538,7 @@ PARSE_CORPUS = [
     ["verify", "--seed", "1", "--seed", "2"],
     ["verify", "-x"],
     ["verify", "--weighted", "0"],
+    ["verify", "--weighted-trials", "251"],
 ]
 
 

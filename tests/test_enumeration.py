@@ -6,7 +6,18 @@ import sys
 
 import pytest
 
-from purecross import Partition, PartitionClass, count, enumeration, iterate, orbit_size
+from purecross import (
+    Partition,
+    PartitionClass,
+    PartitionError,
+    WeightAssignment,
+    count,
+    counts_table,
+    enumeration,
+    iterate,
+    orbit_size,
+    weighted_brute_coeffs,
+)
 from purecross.bijections import _keys_from_roots, _weight_keys
 from purecross.partition import _rgs_roots
 
@@ -60,6 +71,28 @@ def test_iterate_single_atom():
 
 def test_iterate_accepts_string_class():
     assert list(iterate(4, "pc")) == list(iterate(4, PartitionClass.PURELY_CROSSING))
+
+
+# A bool is not a size, though True == 1; nor is -1 a number of singletons.
+BAD_SIZES = {
+    "iterate(True)": (lambda: iterate(True), ValueError),
+    "count(True)": (lambda: count(True), ValueError),
+    "count(3, workers=True)": (lambda: count(3, workers=True), ValueError),
+    "counts_table(True)": (lambda: counts_table(True), ValueError),
+    "weighted_brute_coeffs(True, w)": (
+        lambda: weighted_brute_coeffs(True, WeightAssignment()),
+        ValueError,
+    ),
+    "Partition.whole(True)": (lambda: Partition.whole(True), PartitionError),
+    "Partition.singletons(True)": (lambda: Partition.singletons(True), PartitionError),
+    "Partition.singletons(-1)": (lambda: Partition.singletons(-1), PartitionError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_SIZES.values(), ids=BAD_SIZES)
+def test_rejects_bools_and_negative_sizes(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_rejects_bad_arguments():

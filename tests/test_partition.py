@@ -59,6 +59,19 @@ class TestConstruction:
             Partition.from_rgs([1])
         assert Partition.from_rgs([]) == Partition.empty()
 
+    @pytest.mark.parametrize(
+        "rgs, message",
+        [
+            ([0, 1.0, 0, 1.0], "value 1.0 at position 1 is not an integer"),
+            ([0, True, 0, 1], "value True at position 1 is not an integer"),
+            (["a"], "value 'a' at position 0 is not an integer"),
+        ],
+        ids=["float", "bool", "str"],
+    )
+    def test_from_rgs_rejects_values_that_are_not_ints(self, rgs, message):
+        with pytest.raises(PartitionError, match=message):
+            Partition.from_rgs(rgs)
+
     def test_empty_and_named_constructors(self):
         assert Partition.empty().n == 0
         assert Partition.empty().blocks == ()
@@ -349,3 +362,10 @@ class TestOperations:
         assert not pi.same_block(1, 2)
         with pytest.raises(PartitionError):
             pi.same_block(0, 1)
+
+    def test_same_block_rejects_atoms_that_are_not_ints(self):
+        pi = Partition.parse("1,3|2,4")
+        with pytest.raises(PartitionError, match="atom True is not an integer"):
+            pi.same_block(True, 3)
+        with pytest.raises(PartitionError, match="atom '1' is not an integer"):
+            pi.same_block("1", 2)

@@ -4,7 +4,10 @@ Enumeration walks restricted-growth strings in lexicographic order.  The
 noncrossing family only ever extends a prefix with a block that is still
 "open" on the nesting stack.  The connected families share the
 singleton-free walker, which carries each prefix's crossing components
-down the walk: a string is connected when every block has root 0.
+and its runs collapsed down the walk: a string is connected when every
+block has root 0, and no-neighbor connected when, in addition, no run
+was collapsed.  Walked members become partitions without the checks of
+``Partition.from_rgs``.
 
 Counting never materializes Partition objects and can split the work over
 processes by fixed-length rgs prefixes; the result is independent of the
@@ -13,7 +16,6 @@ worker count.
 
 import os
 from enum import Enum
-from operator import ne
 
 from .partition import Partition
 
@@ -75,11 +77,15 @@ def _iter_rgs_no_singletons(n, prefix=()):
     caught this way, at the latest atom of the two blocks in the first
     crossing quadruple to end.  Such an X has an atom between p and i
     and, as blocks are numbered in order of first appearance, an index
-    below the number of blocks opened before p.  Yields (rgs, root), rgs
-    one shared list that callers must copy, root a tuple indexed by
-    block."""
+    below the number of blocks opened before p.
+
+    Each node also keeps its prefix with every run of one block collapsed
+    to one entry: atom i adds v to it when it opens block v or rejoins it
+    after another block.  Yields (rgs, root, flat), rgs one shared list
+    that callers must copy, root a tuple indexed by block, flat the
+    collapsed rgs as a tuple."""
     if n == 0:
-        yield [], ()
+        yield [], (), ()
         return
     rgs = [-1] * n
     size = [0] * n  # atoms in each block
@@ -87,18 +93,20 @@ def _iter_rgs_no_singletons(n, prefix=()):
     before = [0] * n  # last atom of atom i's block before atom i
     opened = [0] * n  # blocks opened before atom i
     roots = [()] * (n + 1)  # roots[i + 1]: block roots of the prefix through atom i
+    flats = [()] * (n + 1)  # flats[i + 1]: the prefix through atom i, runs collapsed
     blocks = singles = 0
     floor = len(prefix)
+    end = n - 1
     i = 0
     while True:
         v = rgs[i]
         if v >= 0:  # take atom i back out of its block
-            size[v] -= 1
+            size[v] = s = size[v] - 1
             last[v] = before[i]
-            if size[v] == 0:
+            if s == 0:
                 blocks -= 1
                 singles -= 1
-            elif size[v] == 1:
+            elif s == 1:
                 singles += 1
             v += 1
         elif i < floor:
@@ -117,33 +125,37 @@ def _iter_rgs_no_singletons(n, prefix=()):
             continue
         rgs[i] = v
         opened[i] = blocks
-        size[v] += 1
+        size[v] = s = size[v] + 1
         before[i] = p = last[v]
         last[v] = i
-        if size[v] == 1:
+        root = roots[i]
+        flat = flats[i]
+        if s == 1:
             blocks += 1
             singles += 1
-        elif size[v] == 2:
-            singles -= 1
-        root = roots[i]
-        if size[v] == 1:
             root += (v,)
-        elif p < i - 1:
-            k = opened[p]
-            r = root[v]
-            merged = None
-            for x in rgs[p + 1 : i]:
-                if x < k and root[x] != r:
-                    if merged is None:
-                        merged = {r}
-                    merged.add(root[x])
-            if merged:
-                r = min(merged)
-                root = tuple(r if t in merged else t for t in root)
-        roots[i + 1] = root
-        if i == n - 1:
-            yield rgs, root
+            flat += (v,)
         else:
+            if s == 2:
+                singles -= 1
+            if p < i - 1:
+                flat += (v,)
+                k = opened[p]
+                r = root[v]
+                merged = None
+                for x in rgs[p + 1 : i]:
+                    if x < k and root[x] != r:
+                        if merged is None:
+                            merged = {r}
+                        merged.add(root[x])
+                if merged:
+                    r = min(merged)
+                    root = tuple([r if t in merged else t for t in root])
+        if i == end:
+            yield rgs, root, flat
+        else:  # a leaf's entries are never read
+            roots[i + 1] = root
+            flats[i + 1] = flat
             i += 1
 
 
@@ -179,21 +191,24 @@ def _nc_extend(rgs, i, n, stack, blocks):
     yield from _nc_extend(rgs, i + 1, n, stack + [blocks], blocks + 1)
 
 
-def _connected(rgs, root):
+def _connected(rgs, root, flat):
     return not any(root)
 
 
-def _pc_plus(rgs, root):
-    return not any(root) and all(map(ne, rgs, rgs[1:]))
+def _pc_plus(rgs, root, flat):
+    # No run of one block is longer than an atom: no two neighbors share
+    # a block.
+    return len(flat) == len(rgs) and not any(root)
 
 
-def _purely_crossing(rgs, root):
-    return rgs[-1] != 0 and _pc_plus(rgs, root)
+def _purely_crossing(rgs, root, flat):
+    return rgs[-1] != 0 and _pc_plus(rgs, root, flat)
 
 
 # Each family as (walker, accept): the walker streams candidate strings in
 # lexicographic order, all members if accept is None; else it is the
-# singleton-free walk, and accept keeps the members among its (rgs, root).
+# singleton-free walk, and accept keeps the members among its
+# (rgs, root, flat).
 _FAMILIES = {
     PartitionClass.ALL: (_iter_rgs_plain, None),
     PartitionClass.NONCROSSING: (_iter_rgs_noncrossing, None),
@@ -208,8 +223,8 @@ def _members(n, cls, prefix=()):
     if accept is None:
         return walk(n, prefix)
     # The single atom is a singleton block, and its own root.
-    pairs = walk(n, prefix) if n > 1 else [([0], (0,))]
-    return (rgs for rgs, root in pairs if accept(rgs, root))
+    walked = walk(n, prefix) if n > 1 else [([0], (0,), (0,))]
+    return (rgs for rgs, root, flat in walked if accept(rgs, root, flat))
 
 
 def _count_serial(n, cls, prefix=()):
@@ -234,11 +249,25 @@ def _check_size(name, value):
         raise ValueError(f"{name} must be at least 1")
 
 
+def _partitions(members):
+    """The walked strings as partitions, each block list built in one
+    pass.  A walker only yields restricted-growth strings of ints, so they
+    go through ``Partition._raw``, not the checks of ``from_rgs``."""
+    raw = Partition._raw
+    for rgs in members:
+        blocks = []
+        for atom, v in enumerate(rgs, 1):
+            if v < len(blocks):
+                blocks[v].append(atom)
+            else:
+                blocks.append([atom])
+        yield raw(len(rgs), tuple(map(tuple, blocks)), tuple(rgs))
+
+
 def iterate(n, cls=PartitionClass.ALL):
     """Yield the members of the family in lexicographic rgs order."""
     _check_size("n", n)
-    members = _members(n, PartitionClass(cls))
-    return (Partition.from_rgs(rgs) for rgs in members)
+    return _partitions(_members(n, PartitionClass(cls)))
 
 
 def _usable_cpus():

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from operator import add, mul, ne
+from operator import add, mul
 
 from .bijections import WeightAssignment, _keys_from_roots
 from .enumeration import _check_size, _iter_rgs_no_singletons
@@ -147,19 +147,35 @@ def _singleton_free_rows(m: int):
     all, c the connected ones among them, b and a the no-neighbor
     connected and purely crossing ones.  Each string is walked once per
     process, whichever sizes need it, and the walk hands over the cover
-    roots of each string along with it."""
+    roots of each string and the string with its runs collapsed.
+
+    A connected string is its own cover piece, so its one key is the
+    collapsed string with a last 0 dropped, read off the walk without a
+    pass over the string; it has no neighbors when no run was collapsed,
+    and is purely crossing when its last atom is also outside atom 1's
+    block.  A string whose every block is its own root is noncrossing
+    and has no key.  Only the rest go through :func:`_keys_from_roots`."""
     rows = defaultdict(lambda: [0, 0, 0, 0])
-    for rgs, root in _iter_rgs_no_singletons(m):
-        keys, whole = _keys_from_roots(rgs, root)
-        row = rows[keys]
-        row[3] += 1
-        if not whole or not rgs:  # the empty partition counts in d only
-            continue
-        row[2] += 1
-        if all(map(ne, rgs, rgs[1:])):
-            row[1] += 1
-            if rgs[-1] != 0:
-                row[0] += 1
+    own = [tuple(range(k)) for k in range(m // 2 + 1)]  # roots of a noncrossing string
+    for rgs, root, flat in _iter_rgs_no_singletons(m):
+        if any(root):
+            if root == own[len(root)]:
+                rows[()][3] += 1
+            else:
+                rows[_keys_from_roots(rgs, root)[0]][3] += 1
+        elif len(flat) < 2:  # the whole block, or the empty partition
+            row = rows[()]
+            row[3] += 1
+            if rgs:  # the empty partition counts in d only
+                row[2] += 1
+        else:
+            row = rows[(flat[:-1] if flat[-1] == 0 else flat,)]
+            row[3] += 1
+            row[2] += 1
+            if len(flat) == m:
+                row[1] += 1
+                if flat[-1] != 0:
+                    row[0] += 1
     return tuple((keys, tuple(counts)) for keys, counts in rows.items())
 
 
@@ -177,10 +193,11 @@ def weighted_brute_coeffs(
     cover pieces and keys unchanged.  The members of D with exactly m
     atoms in non-singleton blocks are the pairs (m-subset of [n],
     singleton-free partition of [m]), so D sums C(n, m) times the rows of
-    length m (:func:`_singleton_free_rows`, walked once per length).  A
-    connected partition with n >= 2 has no singleton, so A, B and C are
-    the rows of length n; the single atom is connected, no-neighbor and
-    keyless.
+    length m (:func:`_singleton_free_rows`, walked once per length; a
+    connected row takes its key and family flags from the collapsed
+    string the walk carries).  A connected partition with n >= 2 has no
+    singleton, so A, B and C are the rows of length n; the single atom
+    is connected, no-neighbor and keyless.
 
     The sum is taken on ints, on the integer weights the assignment
     computed when it was built: with L its scale, an assigned key weighs

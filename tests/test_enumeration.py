@@ -1,5 +1,6 @@
 """Lexicographic iteration, counting, and the parallel counting path."""
 
+import itertools
 import multiprocessing
 import subprocess
 import sys
@@ -122,7 +123,7 @@ def test_singleton_free_stream_is_the_filtered_plain_stream():
     # A000296: 1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722.
     sizes = []
     for m in range(11):
-        got = [tuple(rgs) for rgs, _ in enumeration._iter_rgs_no_singletons(m)]
+        got = [tuple(rgs) for rgs, _, _ in enumeration._iter_rgs_no_singletons(m)]
         expected = [
             tuple(rgs)
             for rgs in enumeration._iter_rgs_plain(m)
@@ -139,7 +140,7 @@ def test_singleton_free_walk_carries_the_cover_roots():
     # and the weight keys read off either.
     for m in range(11):
         whole = []
-        for rgs, root in enumeration._iter_rgs_no_singletons(m):
+        for rgs, root, _ in enumeration._iter_rgs_no_singletons(m):
             assert list(root) == _rgs_roots(rgs), rgs
             assert _keys_from_roots(rgs, root) == _weight_keys.__wrapped__(rgs), rgs
             whole.append((tuple(rgs), root))
@@ -151,7 +152,7 @@ def test_singleton_free_walk_carries_the_cover_roots():
             for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
                 got = [
                     (tuple(rgs), root)
-                    for rgs, root in enumeration._iter_rgs_no_singletons(m, prefix)
+                    for rgs, root, _ in enumeration._iter_rgs_no_singletons(m, prefix)
                 ]
                 assert all(rgs[:length] == prefix for rgs, _ in got), prefix
                 singles = sum(1 for v in set(prefix) if prefix.count(v) == 1)
@@ -159,6 +160,16 @@ def test_singleton_free_walk_carries_the_cover_roots():
                     assert got == [], prefix
                 split += got
             assert split == whole, (m, length)
+
+
+def test_singleton_free_walk_carries_the_collapsed_string():
+    # The collapsed string kept along the walk against groupby on each
+    # finished string, over the whole walk and from every prefix.
+    for m in range(11):
+        for length in range(m):  # length 0: the one empty prefix
+            for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
+                for rgs, _, flat in enumeration._iter_rgs_no_singletons(m, prefix):
+                    assert flat == tuple(k for k, _ in itertools.groupby(rgs)), rgs
 
 
 def test_noncrossing_walk_from_every_prefix():

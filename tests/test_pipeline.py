@@ -1,5 +1,6 @@
 """Series pipelines, the counts table, and the weighted cross-checks."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -28,7 +29,8 @@ from purecross import (
     weighted_brute_coeffs,
 )
 from purecross import pipeline
-from purecross.enumeration import _iter_rgs_no_singletons
+from purecross.bijections import _weight_keys
+from purecross.enumeration import _iter_rgs_no_singletons, _iter_rgs_plain
 
 from oracles import PUBLISHED_COUNTS, bell_brute, catalan
 
@@ -227,6 +229,32 @@ class TestWeightedBrute:
             assert (a, b, c, d) == PUBLISHED_COUNTS[n], n
             assert d == bell_brute(n), n
 
+    def test_rows_match_a_tally_of_the_plain_strings(self):
+        # The rows against a tally that does not use the walk: singleton-
+        # free strings filtered from the plain walk, keys through the
+        # one-pass roots of _rgs_roots, families by the Partition
+        # predicates.
+        for m in range(11):
+            tally = collections.defaultdict(lambda: [0, 0, 0, 0])
+            for rgs in map(tuple, _iter_rgs_plain(m)):
+                if any(rgs.count(v) == 1 for v in rgs):
+                    continue
+                row = tally[_weight_keys.__wrapped__(rgs)[0]]
+                row[3] += 1
+                pi = Partition.from_rgs(rgs)
+                if not rgs:  # the empty partition counts in d only
+                    continue
+                if pi.is_connected():
+                    row[2] += 1
+                if pi.is_pc_plus():
+                    row[1] += 1
+                if pi.is_purely_crossing():
+                    row[0] += 1
+            expected = {keys: tuple(row) for keys, row in tally.items()}
+            rows = pipeline._singleton_free_rows(m)
+            assert len(rows) == len(expected), m
+            assert dict(rows) == expected, m
+
     def test_single_assignment_example(self):
         w = WeightAssignment({Partition.parse("1,3|2,4"): Fraction(7, 2)})
         a4, b4, c4, d4 = weighted_brute_coeffs(4, w)
@@ -271,9 +299,9 @@ class TestWeightedBrute:
         walked = []
 
         def counted(m):
-            for rgs, root in _iter_rgs_no_singletons(m):
+            for rgs, root, flat in _iter_rgs_no_singletons(m):
                 walked.append(tuple(rgs))
-                yield rgs, root
+                yield rgs, root, flat
 
         monkeypatch.setattr(pipeline, "_iter_rgs_no_singletons", counted)
         for sizes in (range(1, 10), [9, *range(1, 9)]):

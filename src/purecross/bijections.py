@@ -138,9 +138,7 @@ def adjoin_last_atom(sigma: Partition) -> Partition:
     """Append atom n + 1 and put it in the block of atom 1."""
     if sigma.n < 1:
         raise ValueError("need at least one atom to adjoin to")
-    blocks = [list(b) for b in sigma.blocks]
-    blocks[0].append(sigma.n + 1)
-    return Partition(sigma.n + 1, blocks)
+    return Partition._raw(sigma.rgs + (0,))
 
 
 def pc_plus_decompose(pi: Partition) -> PcPlusCase:
@@ -170,9 +168,7 @@ def inflate(base: Partition, comp: Composition) -> Partition:
         raise ValueError(
             f"composition has {len(comp.parts)} parts for {base.n} base atoms"
         )
-    runs = comp.intervals()
-    blocks = [[a for j in block for a in runs[j - 1]] for block in base.blocks]
-    return Partition(comp.n, blocks)
+    return Partition._raw(tuple(v for v, k in zip(base.rgs, comp.parts) for _ in range(k)))
 
 
 def contract(pi: Partition) -> tuple[Partition, Composition]:
@@ -188,7 +184,7 @@ def contract(pi: Partition) -> tuple[Partition, Composition]:
         else:
             values.append(v)
             lengths.append(1)
-    return Partition.from_rgs(values), Composition(tuple(lengths))
+    return Partition._raw(tuple(values)), Composition(tuple(lengths))
 
 
 # -- arbitrary <-> (noncrossing cover, connected pieces) --------------
@@ -302,7 +298,7 @@ class WeightAssignment:
     def items(self):
         """Assigned entries, ordered by partition for deterministic output."""
         return [
-            (Partition.from_rgs(rgs), value)
+            (Partition._raw(rgs), value)
             for rgs, value in sorted(self._weights.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
 

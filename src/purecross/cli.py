@@ -27,14 +27,7 @@ from math import lcm
 from .bijections import WeightAssignment
 from .enumeration import PartitionClass, count, iterate
 from .partition import ParseError, Partition, PartitionError
-from .pipeline import (
-    bell_series,
-    counts_table,
-    derive_a_from_b,
-    derive_b_from_c,
-    derive_c_from_d,
-    forward_weighted,
-)
+from .pipeline import counts_table, forward_weighted
 from .series import Series, render_text
 from .verify import run_checks
 
@@ -158,9 +151,9 @@ def _cmd_series(args) -> int:
             return _fail(
                 f"the weights' numerators must have at most {_SERIES_MAX_NUM_DIGITS} digits"
             )
-    # A holds |PC_n|; an assigned weight replaces its partition's default 1.
-    a = derive_a_from_b(derive_b_from_c(derive_c_from_d(bell_series(order + 1))))
-    coeffs = list(a.coeffs)
+    # A holds the table's |PC_n| column; an assigned weight replaces its
+    # partition's default 1.
+    coeffs = [0] + [row[1] for row in counts_table(order).rows]
     for pi, weight in w.items():
         if pi.n <= order:
             coeffs[pi.n] += weight - 1

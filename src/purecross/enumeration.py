@@ -6,8 +6,8 @@ noncrossing family only ever extends a prefix with a block that is still
 singleton-free walker, which carries each prefix's crossing components
 and its runs collapsed down the walk: a string is connected when every
 block has root 0, and no-neighbor connected when, in addition, no run
-was collapsed.  Walked members become partitions without the checks of
-``Partition.from_rgs``.
+was collapsed.  Walked members become partitions through
+``Partition._raw``, without the checks of ``Partition.from_rgs``.
 
 Counting never materializes Partition objects and can split the work over
 processes by fixed-length rgs prefixes; the result is independent of the
@@ -249,25 +249,10 @@ def _check_size(name, value):
         raise ValueError(f"{name} must be at least 1")
 
 
-def _partitions(members):
-    """The walked strings as partitions, each block list built in one
-    pass.  A walker only yields restricted-growth strings of ints, so they
-    go through ``Partition._raw``, not the checks of ``from_rgs``."""
-    raw = Partition._raw
-    for rgs in members:
-        blocks = []
-        for atom, v in enumerate(rgs, 1):
-            if v < len(blocks):
-                blocks[v].append(atom)
-            else:
-                blocks.append([atom])
-        yield raw(len(rgs), tuple(map(tuple, blocks)), tuple(rgs))
-
-
 def iterate(n, cls=PartitionClass.ALL):
     """Yield the members of the family in lexicographic rgs order."""
     _check_size("n", n)
-    return _partitions(_members(n, PartitionClass(cls)))
+    return (Partition._raw(tuple(rgs)) for rgs in _members(n, PartitionClass(cls)))
 
 
 def _usable_cpus():

@@ -1,11 +1,15 @@
 """Set partitions of {1, ..., n} in canonical form.
 
-A partition is stored both as a tuple of blocks (blocks sorted by their
-minimum, atoms ascending inside each block) and as its restricted-growth
-string ``rgs``, where ``rgs[i]`` is the index of the block containing atom
-``i + 1`` and blocks are numbered in order of first appearance.  The two
-forms are mutually derivable; the rgs is the canonical key used for
-hashing and ordering.
+A partition is stored as its restricted-growth string ``rgs``, where
+``rgs[i]`` is the index of the block containing atom ``i + 1`` and
+blocks are numbered in order of first appearance; the rgs is the key
+used for hashing and ordering.  Every instance is made by the one
+trusted constructor ``Partition._raw``, which also reads the tuple of
+blocks (sorted by their minimum, atoms ascending inside each block) off
+the string in one pass.  ``Partition(n, blocks)``, ``from_rgs``,
+``parse`` and ``from_json`` check their input before they call it;
+partitions derived from one already built (the cover, rotations,
+restrictions) go to it directly.
 
 The predicates defined here classify a partition into the families the
 rest of the package enumerates and transforms: noncrossing, connected
@@ -59,57 +63,69 @@ def _check_ground(n, name: str) -> None:
         raise PartitionError(f"{name}(n) needs n >= 1")
 
 
-def _canonical_blocks(n: int, raw_blocks) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Validate and canonicalize raw block data; return (blocks, rgs)."""
+def _relabel(values) -> tuple[int, ...]:
+    """``values`` with each distinct value replaced by its rank in order
+    of first appearance: a restricted-growth string."""
+    label = {}
+    return tuple([label.setdefault(v, len(label)) for v in values])
+
+
+def _checked_rgs(n: int, raw_blocks) -> tuple[int, ...]:
+    """The rgs of raw block data, once it is checked to partition
+    {1, .., n}: each atom maps to the index of its block as given, and
+    the indices are relabelled by first appearance."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise PartitionError(f"ground set size {n!r} is not an integer")
     if n < 0:
         raise PartitionError(f"ground set size {n} is negative")
-    seen = set()  # not a flag per atom: memory stays bounded by the input
-    cleaned = []
-    for block in raw_blocks:
+    where = {}  # not a list per atom: memory stays bounded by the input
+    for index, block in enumerate(raw_blocks):
         atoms = list(block)
         if not atoms:
             raise PartitionError("empty block")
         for a in atoms:
-            if _atom(a, n) in seen:
+            if _atom(a, n) in where:
                 raise PartitionError(f"atom {a} appears in more than one block")
-            seen.add(a)
-        cleaned.append(tuple(sorted(atoms)))
+            where[a] = index
     for a in range(1, n + 1):
-        if a not in seen:
+        if a not in where:
             raise PartitionError(f"atom {a} uncovered")
-    cleaned.sort()
-    index = {}
-    for bi, block in enumerate(cleaned):
-        for a in block:
-            index[a] = bi
-    rgs = tuple(index[a] for a in range(1, n + 1))
-    return tuple(cleaned), rgs
+    return _relabel([where[a] for a in range(1, n + 1)])
 
 
 class Partition:
     """A set partition of {1, .., n}; immutable, hashable, totally ordered.
 
     Construct from blocks (any iterable of iterables), a restricted-growth
-    string, or the text format ``"1,3|2,4"``.  The empty partition of the
+    string, or the text format ``"1,3|2,4"``; each is checked, then
+    turned into the rgs that ``_raw`` stores.  The empty partition of the
     empty ground set exists as ``Partition.empty()``; it only occurs as a
     gap filler in decompositions, never in enumeration streams.
     """
 
     __slots__ = ("n", "blocks", "rgs", "_hash")
 
-    def __init__(self, n: int, blocks):
-        self.blocks, self.rgs = _canonical_blocks(n, blocks)
-        self.n = n
-        self._hash = hash((n, self.rgs))
+    def __new__(cls, n: int, blocks):
+        return cls._raw(_checked_rgs(n, blocks))
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through the checked rgs constructor.
+        return Partition.from_rgs, (self.rgs,)
 
     @classmethod
-    def _raw(cls, n, blocks, rgs):
-        # Internal fast path for data already in canonical form.
+    def _raw(cls, rgs) -> "Partition":
+        """The partition with restricted-growth tuple ``rgs``, unchecked.
+        Every instance is made here, and its blocks are read off the
+        string in one pass."""
+        blocks = []
+        for atom, v in enumerate(rgs, 1):
+            if v < len(blocks):
+                blocks[v].append(atom)
+            else:
+                blocks.append([atom])
         self = object.__new__(cls)
-        self.n = n
-        self.blocks = blocks
+        self.n = n = len(rgs)
+        self.blocks = tuple(map(tuple, blocks))
         self.rgs = rgs
         self._hash = hash((n, rgs))
         return self
@@ -118,24 +134,23 @@ class Partition:
     def from_rgs(cls, rgs) -> "Partition":
         """Build from a restricted-growth string of ints (``rgs[0] == 0``,
         each value at most one more than the running maximum)."""
-        blocks: list[list[int]] = []
+        rgs = tuple(rgs)
+        top = -1
         for i, b in enumerate(rgs):
             if type(b) is not int:
                 raise PartitionError(f"value {b!r} at position {i} is not an integer")
-            if b == len(blocks):
-                blocks.append([i + 1])
-            elif 0 <= b < len(blocks):
-                blocks[b].append(i + 1)
-            else:
+            if b < 0 or b > top + 1:
                 raise PartitionError(
                     f"value {b} at position {i} breaks restricted growth"
                 )
-        return cls._raw(len(rgs), tuple(tuple(b) for b in blocks), tuple(rgs))
+            if b > top:
+                top = b
+        return cls._raw(rgs)
 
     @classmethod
     def empty(cls) -> "Partition":
         """The partition of the empty ground set."""
-        return cls._raw(0, (), ())
+        return cls._raw(())
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -261,13 +276,8 @@ class Partition:
         True
         """
         s = {_atom(a, self.n) for a in atoms}
-        if not s:
-            return True
-        for block in self.blocks:
-            hit = s.intersection(block)
-            if hit and len(hit) != len(block):
-                return False
-        return True
+        hit = {self.rgs[a - 1] for a in s}
+        return sum(v in hit for v in self.rgs) == len(s)
 
     def is_noncrossing(self) -> bool:
         """True iff no atoms i < j < k < l have i, k in one block and j, l
@@ -308,7 +318,7 @@ class Partition:
         >>> str(Partition.parse("1,3|2,4|5").noncrossing_cover())
         '1,2,3,4|5'
         """
-        return Partition.from_rgs(_rgs_cover(self.rgs))
+        return Partition._raw(_rgs_cover(self.rgs))
 
     def rotate(self, r: int) -> "Partition":
         """Relabel every atom i to ((i - 1 + r) mod n) + 1 and recanonicalize."""
@@ -317,24 +327,14 @@ class Partition:
         r %= self.n
         if r == 0:
             return self
-        n = self.n
-        return Partition(n, [[(a - 1 + r) % n + 1 for a in b] for b in self.blocks])
+        return Partition._raw(_relabel(self.rgs[-r:] + self.rgs[:-r]))
 
     def restrict(self, atoms) -> "Partition":
         """Intersect blocks with ``atoms`` and relabel order-preservingly to
         {1, .., len(atoms)}.  Restricting to no atoms gives the empty
         partition."""
         kept = sorted({_atom(a, self.n) for a in atoms})
-        if not kept:
-            return Partition.empty()
-        relabel = {a: k + 1 for k, a in enumerate(kept)}
-        keep = set(kept)
-        new_blocks = []
-        for block in self.blocks:
-            nb = [relabel[a] for a in block if a in keep]
-            if nb:
-                new_blocks.append(nb)
-        return Partition(len(kept), new_blocks)
+        return Partition._raw(_relabel([self.rgs[a - 1] for a in kept]))
 
     def is_refinement_of(self, other: "Partition") -> bool:
         """True iff every block of ``other`` is a union of blocks of self."""
@@ -342,14 +342,16 @@ class Partition:
             raise TypeError("expected a Partition")
         if self.n != other.n:
             raise PartitionError("partitions of different ground sets")
-        return all(self.splits(block) for block in other.blocks)
+        # Each block of self lies in one block of other exactly when no
+        # block of self pairs with two blocks of other.
+        return len(set(zip(self.rgs, other.rgs))) == len(self.blocks)
 
 
 # -- rgs-level predicate kernels -----------------------------------
-# They serve Partition (and _rgs_roots the key lookup in bijections).
-# Through Partition they are the independent references that verify and
-# the tests check the enumeration walkers, and the roots they carry,
-# against.
+# They read the rgs a Partition stores, never its blocks, and serve
+# Partition (and _rgs_roots the key lookup in bijections).  Through
+# Partition they are the independent references that verify and the
+# tests check the enumeration walkers, and the roots they carry, against.
 
 
 def _rgs_noncrossing(rgs) -> bool:
@@ -452,9 +454,8 @@ def _rgs_roots(rgs) -> list[int]:
     return parent
 
 
-def _rgs_cover(rgs) -> list[int]:
+def _rgs_cover(rgs) -> tuple[int, ...]:
     """The rgs of the noncrossing cover: blocks with one root share a
-    cover block, numbered in order of first appearance."""
+    cover block."""
     root = _rgs_roots(rgs)
-    label = {}
-    return [label.setdefault(root[b], len(label)) for b in rgs]
+    return _relabel([root[b] for b in rgs])

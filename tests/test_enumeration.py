@@ -1,5 +1,6 @@
 """Lexicographic iteration, counting, and the parallel counting path."""
 
+import inspect
 import itertools
 import multiprocessing
 import subprocess
@@ -72,6 +73,12 @@ def test_iterate_single_atom():
 
 def test_iterate_accepts_string_class():
     assert list(iterate(4, "pc")) == list(iterate(4, PartitionClass.PURELY_CROSSING))
+
+
+def test_iterate_returns_a_generator():
+    # perfbench/tracing.py counts the members it yields only when the
+    # call returns a generator; a map object would read as no members.
+    assert inspect.isgenerator(iterate(3))
 
 
 # A bool is not a size, though True == 1; nor is -1 a number of singletons.

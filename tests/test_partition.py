@@ -1,12 +1,14 @@
 """Partition construction, canonical forms, predicates, and the cover."""
 
+import copy
 import json
+import pickle
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from purecross import ParseError, Partition, PartitionError
+from purecross import ParseError, Partition, PartitionError, iterate
 
 from oracles import (
     all_partitions_brute,
@@ -15,8 +17,15 @@ from oracles import (
     is_connected_brute,
     is_noncrossing_brute,
     noncrossing_partitions_brute,
+    refines_brute,
     splits_brute,
 )
+
+
+def canonical(blocks):
+    """Oracle blocks in canonical form: atoms ascending, blocks ordered by
+    their least atom, empty blocks dropped."""
+    return tuple(sorted(tuple(sorted(b)) for b in blocks if b))
 
 
 @st.composite
@@ -47,10 +56,20 @@ class TestConstruction:
         assert Partition(5, [[1, 2, 5], [3], [4]]).rgs == (0, 0, 1, 2, 0)
 
     def test_from_rgs_roundtrip_exhaustive(self):
+        # Equality reads only n and the rgs, so the blocks every
+        # constructor derives are checked against the oracle's directly.
         for n in range(1, 7):
-            for blocks in all_partitions_brute(n):
-                pi = Partition(n, blocks)
-                assert Partition.from_rgs(pi.rgs) == pi
+            members = {pi.rgs: pi for pi in iterate(n)}
+            everything = list(all_partitions_brute(n))
+            assert len(members) == len(everything)
+            for blocks in everything:
+                expected = canonical(blocks)
+                pi = Partition(n, [b[::-1] for b in reversed(blocks)])
+                assert pi.n == n and pi.blocks == expected
+                again = Partition.from_rgs(pi.rgs)
+                assert again == pi and hash(again) == hash(pi)
+                assert again.blocks == expected
+                assert members[pi.rgs].blocks == expected
 
     def test_from_rgs_rejects_gaps(self):
         with pytest.raises(PartitionError):
@@ -71,6 +90,12 @@ class TestConstruction:
     def test_from_rgs_rejects_values_that_are_not_ints(self, rgs, message):
         with pytest.raises(PartitionError, match=message):
             Partition.from_rgs(rgs)
+
+    def test_pickle_and_copy_round_trip(self):
+        for pi in (Partition.parse("1,3|2,4|5"), Partition.empty()):
+            for clone in (pickle.loads(pickle.dumps(pi)), copy.copy(pi), copy.deepcopy(pi)):
+                assert clone == pi and hash(clone) == hash(pi)
+                assert clone.blocks == pi.blocks
 
     def test_empty_and_named_constructors(self):
         assert Partition.empty().n == 0
@@ -338,6 +363,36 @@ class TestOperations:
             for pi in members:
                 for shift in range(n):
                     assert pi.rotate(shift) in members
+
+    def test_rotate_against_oracle(self):
+        for n in range(1, 7):
+            for blocks in all_partitions_brute(n):
+                pi = Partition(n, blocks)
+                for r in range(-n, n + 1):
+                    got = pi.rotate(r)
+                    moved = [[(a - 1 + r) % n + 1 for a in b] for b in blocks]
+                    assert got.n == n and got.blocks == canonical(moved), (blocks, r)
+
+    def test_restrict_against_oracle(self):
+        for n in range(1, 7):
+            for blocks in all_partitions_brute(n):
+                pi = Partition(n, blocks)
+                for mask in range(1 << n):
+                    kept = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
+                    label = {a: k for k, a in enumerate(kept, 1)}
+                    got = pi.restrict(kept[::-1])
+                    expected = canonical([label[a] for a in b if a in label] for b in blocks)
+                    assert got.n == len(kept) and got.blocks == expected, (blocks, kept)
+
+    def test_refinement_against_oracle(self):
+        for n in range(1, 6):
+            everything = list(all_partitions_brute(n))
+            built = [Partition(n, blocks) for blocks in everything]
+            for fine_blocks, fine in zip(everything, built):
+                for coarse_blocks, coarse in zip(everything, built):
+                    assert fine.is_refinement_of(coarse) == refines_brute(
+                        fine_blocks, coarse_blocks
+                    )
 
     def test_restrict(self):
         pi = Partition.parse("1,5|2,4|3")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .partition import Partition, _rgs_roots
+from .partition import Partition, _integer, _rgs_roots
 
 _ONE = Fraction(1)
 
@@ -50,21 +50,11 @@ class Composition:
         if not self.parts:
             raise ValueError("a composition needs at least one part")
         for k in self.parts:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise ValueError(f"composition part {k!r} is not a positive integer")
+            _integer(k, "composition part", 1)
 
     @property
     def n(self) -> int:
         return sum(self.parts)
-
-    def intervals(self) -> list[range]:
-        """The consecutive runs of atoms, one per part."""
-        out = []
-        start = 1
-        for k in self.parts:
-            out.append(range(start, start + k))
-            start += k
-        return out
 
 
 @dataclass(frozen=True)
@@ -258,12 +248,13 @@ class WeightAssignment:
     The assignment is immutable, so its integer form is computed once,
     when it is built: ``_scale`` is L, the lcm of the weight
     denominators (1 when nothing is assigned), and ``_scaled`` maps each
-    assigned key to the integer L w[key].
+    assigned key to the integer L w[key]; a weight is read back as
+    ``Fraction(_scaled.get(key, L), L)``.
     """
 
     # Keyed by the rgs tuple, which alone fixes the partition (n is its
     # length) and hashes and compares in C, as the weight keys do.
-    __slots__ = ("_weights", "_scale", "_scaled")
+    __slots__ = ("_scale", "_scaled")
 
     def __init__(self, weights=None):
         table = {}
@@ -280,26 +271,27 @@ class WeightAssignment:
                     table[pi.rgs] = Fraction(value)
                 except ZeroDivisionError:
                     raise ValueError(f"weight {value!r} has a zero denominator") from None
-        self._weights = table
         self._scale = scale = lcm(*(q.denominator for q in table.values()))
         self._scaled = {key: q.numerator * (scale // q.denominator) for key, q in table.items()}
 
     def __getitem__(self, pi: Partition) -> Fraction:
         if not isinstance(pi, Partition):
             raise TypeError(f"weights are looked up by Partition, not {type(pi).__name__}")
-        return self._weights.get(pi.rgs, _ONE)
+        scale = self._scale
+        return Fraction(self._scaled.get(pi.rgs, scale), scale)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._scaled)
 
     def __contains__(self, pi) -> bool:
-        return isinstance(pi, Partition) and pi.rgs in self._weights
+        return isinstance(pi, Partition) and pi.rgs in self._scaled
 
     def items(self):
         """Assigned entries, ordered by partition for deterministic output."""
+        scale = self._scale
         return [
-            (Partition._raw(rgs), value)
-            for rgs, value in sorted(self._weights.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            (Partition._raw(rgs), Fraction(value, scale))
+            for rgs, value in sorted(self._scaled.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
 
     def to_json(self) -> list[dict]:
@@ -373,10 +365,14 @@ def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
 
 
 def _product(keys, w):
-    result = _ONE
+    if not keys:
+        return _ONE
+    scale = w._scale
+    weight = w._scaled.get
+    product = 1
     for key in keys:
-        result *= w._weights.get(key, _ONE)
-    return result
+        product *= weight(key, scale)
+    return Fraction(product, scale ** len(keys))
 
 
 def pc_plus_weight(pi: Partition, w: WeightAssignment) -> Fraction:

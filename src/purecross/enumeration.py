@@ -17,7 +17,7 @@ worker count.
 import os
 from enum import Enum
 
-from .partition import Partition
+from .partition import Partition, _integer
 
 
 class PartitionClass(Enum):
@@ -240,18 +240,9 @@ def _count_chunk(args):
     return sum(_count_serial(n, cls, prefix) for prefix in prefixes)
 
 
-def _check_size(name, value):
-    """Refuse, with ValueError, a size that is not an int (a bool is not)
-    or is below 1."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-
-
 def iterate(n, cls=PartitionClass.ALL):
     """Yield the members of the family in lexicographic rgs order."""
-    _check_size("n", n)
+    _integer(n, "n", 1)
     return (Partition._raw(tuple(rgs)) for rgs in _members(n, PartitionClass(cls)))
 
 
@@ -270,8 +261,8 @@ def count(n, cls=PartitionClass.ALL, workers=1):
     this process may run on; the total does not depend on the worker
     count.
     """
-    _check_size("n", n)
-    _check_size("workers", workers)
+    _integer(n, "n", 1)
+    _integer(workers, "workers", 1)
     cls = PartitionClass(cls)
     workers = min(workers, _usable_cpus())
     if workers == 1 or n < _PARALLEL_MIN_N:

@@ -30,7 +30,8 @@ from operator import eq
 
 
 class PartitionError(ValueError):
-    """Raised when block data does not describe a partition of {1, ..., n}."""
+    """Raised when block data does not describe a partition of {1, ..., n},
+    and on any size, atom or shift that is not an int in range."""
 
 
 class ParseError(PartitionError):
@@ -45,22 +46,16 @@ class ParseError(PartitionError):
 _TOKEN = re.compile(r"\d+|[,|]")
 
 
-def _atom(a, n: int) -> int:
-    """``a``, checked to be an atom of {1, .., n}: an int, not a bool."""
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise PartitionError(f"atom {a!r} is not an integer")
-    if a < 1 or a > n:
-        raise PartitionError(f"atom {a} out of range 1..{n}")
-    return a
-
-
-def _check_ground(n, name: str) -> None:
-    """Refuse a ground set size for ``name(n)`` that is not an int of at
-    least 1."""
-    if type(n) is not int:
-        raise PartitionError(f"ground set size {n!r} is not an integer")
-    if n < 1:
-        raise PartitionError(f"{name}(n) needs n >= 1")
+def _integer(value, name: str, least=None, most=None) -> int:
+    """``value``, checked to be an int (not a bool, nor any other int
+    subclass) in least .. most, either bound left open when None."""
+    if type(value) is not int:
+        raise PartitionError(f"{name} {value!r} is not an integer")
+    if (least is not None and value < least) or (most is not None and value > most):
+        low = "" if least is None else least
+        high = "" if most is None else most
+        raise PartitionError(f"{name} {value} out of range {low}..{high}")
+    return value
 
 
 def _relabel(values) -> tuple[int, ...]:
@@ -74,17 +69,14 @@ def _checked_rgs(n: int, raw_blocks) -> tuple[int, ...]:
     """The rgs of raw block data, once it is checked to partition
     {1, .., n}: each atom maps to the index of its block as given, and
     the indices are relabelled by first appearance."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise PartitionError(f"ground set size {n!r} is not an integer")
-    if n < 0:
-        raise PartitionError(f"ground set size {n} is negative")
+    _integer(n, "ground set size", 0)
     where = {}  # not a list per atom: memory stays bounded by the input
     for index, block in enumerate(raw_blocks):
         atoms = list(block)
         if not atoms:
             raise PartitionError("empty block")
         for a in atoms:
-            if _atom(a, n) in where:
+            if _integer(a, "atom", 1, n) in where:
                 raise PartitionError(f"atom {a} appears in more than one block")
             where[a] = index
     for a in range(1, n + 1):
@@ -155,13 +147,13 @@ class Partition:
     @classmethod
     def singletons(cls, n: int) -> "Partition":
         """The finest partition: every atom alone."""
-        _check_ground(n, "singletons")
+        _integer(n, "ground set size", 1)
         return cls.from_rgs(tuple(range(n)))
 
     @classmethod
     def whole(cls, n: int) -> "Partition":
         """The coarsest partition: one block {1, .., n}."""
-        _check_ground(n, "whole")
+        _integer(n, "ground set size", 1)
         return cls.from_rgs((0,) * n)
 
     @classmethod
@@ -265,7 +257,8 @@ class Partition:
     # -- predicates ---------------------------------------------------
 
     def same_block(self, i: int, j: int) -> bool:
-        return self.rgs[_atom(i, self.n) - 1] == self.rgs[_atom(j, self.n) - 1]
+        rgs, n = self.rgs, self.n
+        return rgs[_integer(i, "atom", 1, n) - 1] == rgs[_integer(j, "atom", 1, n) - 1]
 
     def splits(self, atoms) -> bool:
         """True iff ``atoms`` is a union of blocks (equivalently: every block
@@ -275,7 +268,7 @@ class Partition:
         >>> Partition.parse("1,3|2,5|4,6").splits({4, 6})
         True
         """
-        s = {_atom(a, self.n) for a in atoms}
+        s = {_integer(a, "atom", 1, self.n) for a in atoms}
         hit = {self.rgs[a - 1] for a in s}
         return sum(v in hit for v in self.rgs) == len(s)
 
@@ -322,6 +315,7 @@ class Partition:
 
     def rotate(self, r: int) -> "Partition":
         """Relabel every atom i to ((i - 1 + r) mod n) + 1 and recanonicalize."""
+        _integer(r, "shift")
         if self.n == 0:
             return self
         r %= self.n
@@ -333,7 +327,7 @@ class Partition:
         """Intersect blocks with ``atoms`` and relabel order-preservingly to
         {1, .., len(atoms)}.  Restricting to no atoms gives the empty
         partition."""
-        kept = sorted({_atom(a, self.n) for a in atoms})
+        kept = sorted({_integer(a, "atom", 1, self.n) for a in atoms})
         return Partition._raw(_relabel([self.rgs[a - 1] for a in kept]))
 
     def is_refinement_of(self, other: "Partition") -> bool:

@@ -28,7 +28,8 @@ from math import comb
 from operator import add, mul
 
 from .bijections import WeightAssignment, _keys_from_roots
-from .enumeration import _check_size, _iter_rgs_no_singletons
+from .enumeration import _iter_rgs_no_singletons
+from .partition import _integer
 from .series import Series, _integral, solve_fixpoint
 
 _ZERO = Fraction(0)
@@ -37,8 +38,7 @@ _ZERO = Fraction(0)
 def bell_series(order: int) -> Series:
     """1 + x + 2 x^2 + 5 x^3 + ...: sizes of the full partition lattices,
     by the Bell triangle recurrence."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _integer(order, "order", 0)
     bells = [1]
     row = [1]
     for _ in range(order):
@@ -207,7 +207,7 @@ def weighted_brute_coeffs(
     L^(depth - k) more, and each coefficient divided by L^depth once.
     The rows of length m < n add to D alone; one pass over the rows of
     length n gives A, B, C and the last term of D."""
-    _check_size("n", n)
+    _integer(n, "n", 1)
     scale = w._scale
     weight = w._scaled.get  # keys and table are both rgs tuples
     depth = n // 4
@@ -272,7 +272,7 @@ def counts_table(max_n: int) -> CountsTable:
     series pipeline, enumerating nothing.  A coefficient that is not an
     integer raises RuntimeError: it would mean the series identities
     contradict themselves."""
-    _check_size("max_n", max_n)
+    _integer(max_n, "max_n", 1)
     d = bell_series(max_n + 1)
     c = derive_c_from_d(d)
     b = derive_b_from_c(c)

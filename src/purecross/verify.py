@@ -25,7 +25,7 @@ from .bijections import (
     partition_weight,
 )
 from .enumeration import PartitionClass, count, iterate, orbit_size
-from .partition import Partition
+from .partition import Partition, _integer
 from .pipeline import (
     bell_series,
     counts_table,
@@ -345,6 +345,8 @@ class VerifyContext:
 
 def run_checks(max_n=7, trials=20, seed=0, out=print) -> bool:
     """Run every check; print one line each; True iff all pass."""
+    _integer(max_n, "max_n", 1)
+    _integer(trials, "trials", 1)
     ctx = VerifyContext(max_n=max_n, trials=trials, seed=seed)
     failures = 0
     for name, func in CHECKS:

@@ -5,19 +5,23 @@ import itertools
 import multiprocessing
 import subprocess
 import sys
+from enum import IntEnum
 
 import pytest
 
 from purecross import (
+    Composition,
     Partition,
     PartitionClass,
     PartitionError,
     WeightAssignment,
+    bell_series,
     count,
     counts_table,
     enumeration,
     iterate,
     orbit_size,
+    run_checks,
     weighted_brute_coeffs,
 )
 from purecross.bijections import _keys_from_roots, _weight_keys
@@ -81,25 +85,44 @@ def test_iterate_returns_a_generator():
     assert inspect.isgenerator(iterate(3))
 
 
-# A bool is not a size, though True == 1; nor is -1 a number of singletons.
+class _Size(IntEnum):
+    FOUR = 4
+
+
+def _no_check_may_run(line):
+    raise AssertionError(f"a check ran before its arguments were refused: {line}")
+
+
+# A bool is not a size, though True == 1; nor is an IntEnum, a float, a
+# string or -1 a number of singletons.  Every size, atom, shift and
+# composition part goes through one check, which raises PartitionError.
 BAD_SIZES = {
-    "iterate(True)": (lambda: iterate(True), ValueError),
-    "count(True)": (lambda: count(True), ValueError),
-    "count(3, workers=True)": (lambda: count(3, workers=True), ValueError),
-    "counts_table(True)": (lambda: counts_table(True), ValueError),
-    "weighted_brute_coeffs(True, w)": (
-        lambda: weighted_brute_coeffs(True, WeightAssignment()),
-        ValueError,
+    "iterate(True)": lambda: iterate(True),
+    "iterate(IntEnum 4)": lambda: iterate(_Size.FOUR),
+    "count(True)": lambda: count(True),
+    "count(3, workers=True)": lambda: count(3, workers=True),
+    "counts_table(True)": lambda: counts_table(True),
+    "weighted_brute_coeffs(True, w)": lambda: weighted_brute_coeffs(True, WeightAssignment()),
+    "Partition.whole(True)": lambda: Partition.whole(True),
+    "Partition.singletons(True)": lambda: Partition.singletons(True),
+    "Partition.singletons(-1)": lambda: Partition.singletons(-1),
+    "Partition(IntEnum 4, blocks)": lambda: Partition(_Size.FOUR, [[1, 2], [3, 4]]),
+    "rotate(True)": lambda: Partition.parse("1,2|3,4").rotate(True),
+    "rotate(1.0)": lambda: Partition.parse("1,2|3,4").rotate(1.0),
+    "bell_series(2.5)": lambda: bell_series(2.5),
+    'bell_series("3")': lambda: bell_series("3"),
+    "Composition((True,))": lambda: Composition((True,)),
+    # Each must raise before a single check runs, or prints a line.
+    "run_checks(max_n=0, trials=0)": lambda: run_checks(
+        max_n=0, trials=0, out=_no_check_may_run
     ),
-    "Partition.whole(True)": (lambda: Partition.whole(True), PartitionError),
-    "Partition.singletons(True)": (lambda: Partition.singletons(True), PartitionError),
-    "Partition.singletons(-1)": (lambda: Partition.singletons(-1), PartitionError),
+    "run_checks(trials=0)": lambda: run_checks(trials=0, out=_no_check_may_run),
 }
 
 
-@pytest.mark.parametrize("call, error", BAD_SIZES.values(), ids=BAD_SIZES)
-def test_rejects_bools_and_negative_sizes(call, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES)
+def test_rejects_bools_and_negative_sizes(call):
+    with pytest.raises(PartitionError):
         call()
 
 

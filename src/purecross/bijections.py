@@ -333,7 +333,9 @@ def _weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
 
 def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """:func:`_weight_keys` given the root of each block, the first
-    block of the cover block that holds it.
+    block of the cover block that holds it.  Runs of one block collapse
+    in the pieces anyway, so the string may be given with its runs
+    already collapsed: the keys of its collapsed form are its own.
 
     Per cover block this is :func:`cover_decompose`, :func:`contract` and
     :func:`pc_plus_decompose` read off the rgs: restrict to the block,

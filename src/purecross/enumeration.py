@@ -3,11 +3,12 @@
 Enumeration walks restricted-growth strings in lexicographic order.  The
 noncrossing family only ever extends a prefix with a block that is still
 "open" on the nesting stack.  The connected families share the
-singleton-free walker, which carries each prefix's crossing components
-and its runs collapsed down the walk: a string is connected when every
-block has root 0, and no-neighbor connected when, in addition, no run
-was collapsed.  Walked members become partitions through
-``Partition._raw``, without the checks of ``Partition.from_rgs``.
+singleton-free walker, which carries each prefix with its runs collapsed
+down the walk.  A string is connected when its collapsed form is, by the
+one-pass crossing components of ``partition._rgs_roots``, and it has no
+neighbors when no run was collapsed, that is when it is its own form.
+Walked members become partitions through ``Partition._raw``, without
+the checks of ``Partition.from_rgs``.
 
 Counting never materializes Partition objects and can split the work over
 processes by fixed-length rgs prefixes; the result is independent of the
@@ -17,7 +18,7 @@ worker count.
 import os
 from enum import Enum
 
-from .partition import Partition, _integer
+from .partition import Partition, _integer, _rgs_roots
 
 
 class PartitionClass(Enum):
@@ -63,36 +64,24 @@ def _iter_rgs_plain(n, prefix=()):
 
 def _iter_rgs_no_singletons(n, prefix=()):
     """Restricted-growth strings with no block of size 1 that extend
-    ``prefix``, in lexicographic order, each with the root of every
-    block: the first block of the noncrossing cover block that holds it.
-    Each later atom can join at most one singleton block, so atom i may
-    only join a singleton when the singletons equal the atoms left, and
-    may not open a block when they are one fewer.  A pruned prefix
-    yields nothing.
+    ``prefix``, in lexicographic order, each with its collapsed form: the
+    string with every run of one block cut to one entry.  Each later atom
+    can join at most one singleton block, so atom i may only join a
+    singleton when the singletons equal the atoms left, and may not open
+    a block when they are one fewer.  A pruned prefix yields nothing.
 
-    The roots of each prefix are kept at its node of the walk.  When atom
-    i rejoins block Y, whose last atom so far is p, Y is merged with
-    every block X that has an atom before p and another after it: then
-    first(X) < p < last(X) < i, so X and Y cross.  Each crossing pair is
-    caught this way, at the latest atom of the two blocks in the first
-    crossing quadruple to end.  Such an X has an atom between p and i
-    and, as blocks are numbered in order of first appearance, an index
-    below the number of blocks opened before p.
-
-    Each node also keeps its prefix with every run of one block collapsed
-    to one entry: atom i adds v to it when it opens block v or rejoins it
-    after another block.  Yields (rgs, root, flat), rgs one shared list
-    that callers must copy, root a tuple indexed by block, flat the
-    collapsed rgs as a tuple."""
+    Each node of the walk keeps the collapsed form of its prefix: atom i
+    adds v to it unless atom i - 1 is in block v too.  The form is itself
+    a restricted-growth string, with the same blocks in the same order,
+    and it has the crossing components and weight keys of the string,
+    which repeating an entry in place does not change.  Yields (rgs,
+    flat), rgs one shared list that callers must copy, flat the collapsed
+    form as a tuple."""
     if n == 0:
-        yield [], (), ()
+        yield [], ()
         return
     rgs = [-1] * n
     size = [0] * n  # atoms in each block
-    last = [0] * n  # last atom so far of each block
-    before = [0] * n  # last atom of atom i's block before atom i
-    opened = [0] * n  # blocks opened before atom i
-    roots = [()] * (n + 1)  # roots[i + 1]: block roots of the prefix through atom i
     flats = [()] * (n + 1)  # flats[i + 1]: the prefix through atom i, runs collapsed
     blocks = singles = 0
     floor = len(prefix)
@@ -102,7 +91,6 @@ def _iter_rgs_no_singletons(n, prefix=()):
         v = rgs[i]
         if v >= 0:  # take atom i back out of its block
             size[v] = s = size[v] - 1
-            last[v] = before[i]
             if s == 0:
                 blocks -= 1
                 singles -= 1
@@ -124,37 +112,20 @@ def _iter_rgs_no_singletons(n, prefix=()):
             i -= 1
             continue
         rgs[i] = v
-        opened[i] = blocks
         size[v] = s = size[v] + 1
-        before[i] = p = last[v]
-        last[v] = i
-        root = roots[i]
         flat = flats[i]
         if s == 1:
             blocks += 1
             singles += 1
-            root += (v,)
             flat += (v,)
         else:
             if s == 2:
                 singles -= 1
-            if p < i - 1:
+            if flat[-1] != v:  # rejoined after another block
                 flat += (v,)
-                k = opened[p]
-                r = root[v]
-                merged = None
-                for x in rgs[p + 1 : i]:
-                    if x < k and root[x] != r:
-                        if merged is None:
-                            merged = {r}
-                        merged.add(root[x])
-                if merged:
-                    r = min(merged)
-                    root = tuple([r if t in merged else t for t in root])
         if i == end:
-            yield rgs, root, flat
-        else:  # a leaf's entries are never read
-            roots[i + 1] = root
+            yield rgs, flat
+        else:  # a leaf's entry is never read
             flats[i + 1] = flat
             i += 1
 
@@ -191,24 +162,41 @@ def _nc_extend(rgs, i, n, stack, blocks):
     yield from _nc_extend(rgs, i + 1, n, stack + [blocks], blocks + 1)
 
 
-def _connected(rgs, root, flat):
-    return not any(root)
+def _connected(walked, n):
+    # A string is connected when its collapsed form is one crossing
+    # component.  A string without neighbors is its own form; the rest
+    # share forms, so their verdicts are kept, one per form.
+    verdicts = {}
+    for rgs, flat in walked:
+        if len(flat) == n:
+            if not any(_rgs_roots(flat)):
+                yield rgs
+        else:
+            whole = verdicts.get(flat)
+            if whole is None:
+                whole = verdicts[flat] = not any(_rgs_roots(flat))
+            if whole:
+                yield rgs
 
 
-def _pc_plus(rgs, root, flat):
+def _pc_plus(walked, n):
     # No run of one block is longer than an atom: no two neighbors share
-    # a block.
-    return len(flat) == len(rgs) and not any(root)
+    # a block, so the string is its own collapsed form.
+    for rgs, flat in walked:
+        if len(flat) == n and not any(_rgs_roots(flat)):
+            yield rgs
 
 
-def _purely_crossing(rgs, root, flat):
-    return rgs[-1] != 0 and _pc_plus(rgs, root, flat)
+def _purely_crossing(walked, n):
+    for rgs, flat in walked:
+        if len(flat) == n and flat[-1] != 0 and not any(_rgs_roots(flat)):
+            yield rgs
 
 
-# Each family as (walker, accept): the walker streams candidate strings in
-# lexicographic order, all members if accept is None; else it is the
-# singleton-free walk, and accept keeps the members among its
-# (rgs, root, flat).
+# Each family as (walker, select): the walker streams candidate strings in
+# lexicographic order, all members if select is None; else it is the
+# singleton-free walk, and select(walked, n) streams the members among
+# its (rgs, flat).
 _FAMILIES = {
     PartitionClass.ALL: (_iter_rgs_plain, None),
     PartitionClass.NONCROSSING: (_iter_rgs_noncrossing, None),
@@ -219,12 +207,11 @@ _FAMILIES = {
 
 
 def _members(n, cls, prefix=()):
-    walk, accept = _FAMILIES[cls]
-    if accept is None:
+    walk, select = _FAMILIES[cls]
+    if select is None:
         return walk(n, prefix)
-    # The single atom is a singleton block, and its own root.
-    walked = walk(n, prefix) if n > 1 else [([0], (0,), (0,))]
-    return (rgs for rgs, root, flat in walked if accept(rgs, root, flat))
+    # The single atom is a singleton block, and its own collapsed form.
+    return select(walk(n, prefix) if n > 1 else [([0], (0,))], n)
 
 
 def _count_serial(n, cls, prefix=()):

@@ -343,9 +343,11 @@ class Partition:
 
 # -- rgs-level predicate kernels -----------------------------------
 # They read the rgs a Partition stores, never its blocks, and serve
-# Partition (and _rgs_roots the key lookup in bijections).  Through
-# Partition they are the independent references that verify and the
-# tests check the enumeration walkers, and the roots they carry, against.
+# Partition; _rgs_roots also serves the key lookup in bijections and, on
+# collapsed forms, the connected families of enumeration and the brute
+# rows of pipeline.  Through Partition, _rgs_noncrossing and
+# _rgs_connected are the independent references that verify and the
+# tests check the enumeration walkers against.
 
 
 def _rgs_noncrossing(rgs) -> bool:

@@ -153,7 +153,7 @@ def test_singleton_free_stream_is_the_filtered_plain_stream():
     # A000296: 1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722.
     sizes = []
     for m in range(11):
-        got = [tuple(rgs) for rgs, _, _ in enumeration._iter_rgs_no_singletons(m)]
+        got = [tuple(rgs) for rgs, _ in enumeration._iter_rgs_no_singletons(m)]
         expected = [
             tuple(rgs)
             for rgs in enumeration._iter_rgs_plain(m)
@@ -164,25 +164,26 @@ def test_singleton_free_stream_is_the_filtered_plain_stream():
     assert sizes == [1, 0, 1, 1, 4, 11, 41, 162, 715, 3425, 17722]
 
 
-def test_singleton_free_walk_carries_the_cover_roots():
-    # The roots merged along the walk against the one-pass stack of
-    # _rgs_roots on each finished string, two independent algorithms;
-    # and the weight keys read off either.
+def test_collapsed_form_has_the_crossing_components_and_keys_of_its_string():
+    # The walk hands over each string with its collapsed form, and the
+    # form alone is classified: its one-pass roots and the weight keys
+    # read off them must be those of the whole string.
     for m in range(11):
         whole = []
-        for rgs, root, _ in enumeration._iter_rgs_no_singletons(m):
-            assert list(root) == _rgs_roots(rgs), rgs
-            assert _keys_from_roots(rgs, root) == _weight_keys.__wrapped__(rgs), rgs
-            whole.append((tuple(rgs), root))
+        for rgs, flat in enumeration._iter_rgs_no_singletons(m):
+            root = _rgs_roots(flat)
+            assert root == _rgs_roots(rgs), rgs
+            assert _keys_from_roots(flat, root) == _weight_keys.__wrapped__(rgs), rgs
+            whole.append((tuple(rgs), flat))
         # Replayed from every prefix, the walks put together are the whole
-        # walk, roots included; a prefix with more singletons than atoms
+        # walk, forms included; a prefix with more singletons than atoms
         # left yields nothing.
         for length in range(1, m):
             split = []
             for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
                 got = [
-                    (tuple(rgs), root)
-                    for rgs, root, _ in enumeration._iter_rgs_no_singletons(m, prefix)
+                    (tuple(rgs), flat)
+                    for rgs, flat in enumeration._iter_rgs_no_singletons(m, prefix)
                 ]
                 assert all(rgs[:length] == prefix for rgs, _ in got), prefix
                 singles = sum(1 for v in set(prefix) if prefix.count(v) == 1)
@@ -198,7 +199,7 @@ def test_singleton_free_walk_carries_the_collapsed_string():
     for m in range(11):
         for length in range(m):  # length 0: the one empty prefix
             for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
-                for rgs, _, flat in enumeration._iter_rgs_no_singletons(m, prefix):
+                for rgs, flat in enumeration._iter_rgs_no_singletons(m, prefix):
                     assert flat == tuple(k for k, _ in itertools.groupby(rgs)), rgs
 
 

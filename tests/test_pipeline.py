@@ -299,9 +299,9 @@ class TestWeightedBrute:
         walked = []
 
         def counted(m):
-            for rgs, root, flat in _iter_rgs_no_singletons(m):
+            for rgs, flat in _iter_rgs_no_singletons(m):
                 walked.append(tuple(rgs))
-                yield rgs, root, flat
+                yield rgs, flat
 
         monkeypatch.setattr(pipeline, "_iter_rgs_no_singletons", counted)
         for sizes in (range(1, 10), [9, *range(1, 9)]):
@@ -404,8 +404,11 @@ class TestCountsTable:
     def test_row_lookup(self):
         table = counts_table(3)
         assert table.row(2) == (2, 0, 0, 1, 2)
-        with pytest.raises(KeyError):
-            table.row(9)
+        # True == 1.0 == 1, but neither is a size: row matches exactly an
+        # int, as every size check of the package does.
+        for n in (True, 1.0, 0, 4, 9):
+            with pytest.raises(KeyError):
+                table.row(n)
 
     def test_tsv_shape(self):
         text = counts_table(2).to_tsv()

@@ -39,7 +39,6 @@ from .pipeline import (
     weighted_brute_coeffs,
 )
 from .series import Series, render_text, solve_fixpoint
-from .verify import run_checks
 
 __version__ = "0.1.0"
 
@@ -81,3 +80,13 @@ __all__ = [
     "weighted_brute_coeffs",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``verify`` is imported on first use (PEP 562): only the invariant
+    # suite needs it, and a command line run should not compile it.
+    if name == "run_checks":
+        from .verify import run_checks
+
+        return run_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -243,7 +243,8 @@ class WeightAssignment:
     The JSON form is a list of ``{"partition": "1,3|2,4", "weight":
     "7/2"}`` entries, weights as integers or ``p/q`` strings.  A weight
     string in exponent notation, or with a zero denominator, raises
-    ``ValueError``.
+    ``ValueError``, and so does a second entry for one partition, whatever
+    text names it.
 
     The assignment is immutable, so its integer form is computed once,
     when it is built: ``_scale`` is L, the lcm of the weight
@@ -263,6 +264,8 @@ class WeightAssignment:
             for pi, value in entries:
                 if not isinstance(pi, Partition) or not pi.is_purely_crossing():
                     raise ValueError(f"{pi} is not a purely crossing partition")
+                if pi.rgs in table:
+                    raise ValueError(f"{pi} is assigned more than one weight")
                 if isinstance(value, (float, bool)):
                     raise TypeError("float and bool weights are not allowed; use Fraction or str")
                 if isinstance(value, str) and "e" in value.lower():  # 1e999999999 builds 10^999999999

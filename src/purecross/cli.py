@@ -29,7 +29,6 @@ from .enumeration import PartitionClass, count, iterate
 from .partition import ParseError, Partition, PartitionError
 from .pipeline import counts_table, forward_weighted
 from .series import Series, render_text
-from .verify import run_checks
 
 _CLASS_CHOICES = [cls.value for cls in PartitionClass]
 
@@ -171,6 +170,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks  # only this command loads the suite
+
     ok = run_checks(max_n=args.max_n, trials=args.weighted_trials, seed=args.seed)
     return 0 if ok else 1
 

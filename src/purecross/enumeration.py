@@ -34,6 +34,9 @@ class PartitionClass(Enum):
 # Below this size the work does not justify spawning processes.
 _PARALLEL_MIN_N = 8
 _PREFIX_LEN = 6
+# The most co verdicts one walk keeps, one per collapsed form with
+# neighbors: all 53,385 forms at n = 12, and a bounded table beyond.
+_VERDICTS_KEPT = 1 << 16
 
 
 def _iter_rgs_plain(n, prefix=()):
@@ -165,7 +168,8 @@ def _nc_extend(rgs, i, n, stack, blocks):
 def _connected(walked, n):
     # A string is connected when its collapsed form is one crossing
     # component.  A string without neighbors is its own form; the rest
-    # share forms, so their verdicts are kept, one per form.
+    # share forms, so their verdicts are kept, one per form, until
+    # _VERDICTS_KEPT of them fill the table and it starts over.
     verdicts = {}
     for rgs, flat in walked:
         if len(flat) == n:
@@ -174,6 +178,8 @@ def _connected(walked, n):
         else:
             whole = verdicts.get(flat)
             if whole is None:
+                if len(verdicts) == _VERDICTS_KEPT:
+                    verdicts.clear()
                 whole = verdicts[flat] = not any(_rgs_roots(flat))
             if whole:
                 yield rgs

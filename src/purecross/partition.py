@@ -43,6 +43,12 @@ class ParseError(PartitionError):
         self.pos = pos
 
 
+# The whole of valid partition text: atoms (runs of decimal digits)
+# separated by ',' inside a block and '|' between blocks, with whitespace
+# around any of them.  ``\s`` and ``\d`` are the whitespace the scanner
+# skips and the digits it reads, so on text that fits, the scanner can
+# only object to an atom 0 or one of too many digits.
+_GRAMMAR = re.compile(r"\s*\d+\s*(?:[,|]\s*\d+\s*)*")
 _TOKEN = re.compile(r"\d+|[,|]")
 
 
@@ -76,13 +82,60 @@ def _checked_rgs(n: int, raw_blocks) -> tuple[int, ...]:
         if not atoms:
             raise PartitionError("empty block")
         for a in atoms:
-            if _integer(a, "atom", 1, n) in where:
+            if not (type(a) is int and 0 < a <= n):
+                _integer(a, "atom", 1, n)  # raises, naming what is wrong
+            if a in where:
                 raise PartitionError(f"atom {a} appears in more than one block")
             where[a] = index
-    for a in range(1, n + 1):
-        if a not in where:
-            raise PartitionError(f"atom {a} uncovered")
+    if len(where) < n:  # distinct atoms in 1 .. n: some atom is missing
+        for a in range(1, n + 1):
+            if a not in where:
+                raise PartitionError(f"atom {a} uncovered")
     return _relabel([where[a] for a in range(1, n + 1)])
+
+
+def _scan(text: str) -> list[list[int]]:
+    """The blocks of nonblank partition text, read token by token; raises
+    ``ParseError`` at the first offending character.  ``Partition.parse``
+    calls it only when its grammar match and split give no partition."""
+    blocks: list[list[int]] = []
+    current: list[int] = []
+    expect_atom = True
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError("unexpected character", text, pos)
+        tok = m.group()
+        if tok.isdigit():
+            if not expect_atom:
+                raise ParseError("expected ',' or '|'", text, pos)
+            try:
+                atom = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("atom number has too many digits", text, pos) from None
+            if atom == 0:
+                raise ParseError("atom numbers start at 1", text, pos)
+            current.append(atom)
+            expect_atom = False
+        elif tok == ",":
+            if expect_atom:
+                raise ParseError("expected an atom number", text, pos)
+            expect_atom = True
+        else:
+            if expect_atom:
+                raise ParseError("expected an atom number", text, pos)
+            blocks.append(current)
+            current = []
+            expect_atom = True
+        pos = m.end()
+    if expect_atom:
+        raise ParseError("expected an atom number", text, pos)
+    blocks.append(current)
+    return blocks
 
 
 class Partition:
@@ -166,50 +219,27 @@ class Partition:
         partition.  Reports the offset of the first offending character on
         bad syntax.
 
+        Text that fits ``_GRAMMAR`` is split on ``|`` and ``,``, its atoms
+        are read by ``int`` and checked as a partition of as many atoms as
+        the text has.  If that fails (text that does not fit, an atom 0 or
+        one ``int`` refuses, a repeated or missing atom), the token
+        scanner ``_scan`` reads the text again and the blocks are checked
+        on 1 .. max atom: every error, its message and its offset are the
+        scanner's, and syntax errors come before partition errors.
+
         >>> Partition.parse("1,3|2,4").blocks
         ((1, 3), (2, 4))
         """
         if not text.strip():
             return cls.empty()
-        blocks: list[list[int]] = []
-        current: list[int] = []
-        expect_atom = True
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ParseError("unexpected character", text, pos)
-            tok = m.group()
-            if tok.isdigit():
-                if not expect_atom:
-                    raise ParseError("expected ',' or '|'", text, pos)
-                try:
-                    atom = int(tok)
-                except ValueError:  # more digits than int() converts
-                    raise ParseError("atom number has too many digits", text, pos) from None
-                if atom == 0:
-                    raise ParseError("atom numbers start at 1", text, pos)
-                current.append(atom)
-                expect_atom = False
-            elif tok == ",":
-                if expect_atom:
-                    raise ParseError("expected an atom number", text, pos)
-                expect_atom = True
-            else:
-                if expect_atom:
-                    raise ParseError("expected an atom number", text, pos)
-                blocks.append(current)
-                current = []
-                expect_atom = True
-            pos = m.end()
-        if expect_atom:
-            raise ParseError("expected an atom number", text, pos)
-        blocks.append(current)
-        n = max(a for b in blocks for a in b)
-        return cls(n, blocks)
+        if _GRAMMAR.fullmatch(text):
+            try:
+                blocks = [list(map(int, block.split(","))) for block in text.split("|")]
+                return cls(text.count(",") + text.count("|") + 1, blocks)
+            except ValueError:  # PartitionError, or an atom int() refuses
+                pass
+        blocks = _scan(text)
+        return cls(max(map(max, blocks)), blocks)
 
     @classmethod
     def from_json(cls, obj) -> "Partition":

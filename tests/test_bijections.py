@@ -301,6 +301,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             WeightAssignment.from_json([{"partition": "1,3|2,4", "weight": True}])
 
+    def test_rejects_a_second_weight_for_one_partition(self):
+        # The texts differ only in spacing, so both name 1,3|2,4; no entry
+        # may silently replace another.
+        data = [
+            {"partition": "1,3|2,4", "weight": "7/2"},
+            {"partition": " 1,3 | 2,4 ", "weight": "5"},
+        ]
+        with pytest.raises(ValueError, match=r"^1,3\|2,4 is assigned more than one weight$"):
+            WeightAssignment.from_json(data)
+        pi = Partition.parse("1,3|2,4")
+        with pytest.raises(ValueError, match="more than one weight"):
+            WeightAssignment([(pi, 1), (Partition(4, [[2, 4], [1, 3]]), 1)])
+
     def test_rejects_exponents_and_zero_denominators(self):
         # Exponent notation is refused before Fraction could build the
         # power; a zero denominator is a ValueError like any bad weight.

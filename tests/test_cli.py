@@ -235,6 +235,7 @@ class TestSeries:
             '[{"partition": "1,3|2,4", "weight": {}}]',
             '[{"partition": "1,3|2,4", "weight": "1/0"}]',
             '[{"partition": "1,3|2,4", "weight": "1e999999999"}]',
+            '[{"partition": "1,3|2,4", "weight": "7/2"}, {"partition": "2,4|1,3", "weight": 5}]',
         ],
     )
     def test_malformed_weights_rejected(self, capsys, tmp_path, text):
@@ -275,9 +276,7 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_failure_maps_to_exit_1(self, capsys, monkeypatch):
-        import purecross.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "run_checks", lambda **kw: False)
+        monkeypatch.setattr("purecross.verify.run_checks", lambda **kw: False)
         assert run(["verify"]) == 1
         capsys.readouterr()
 
@@ -338,6 +337,16 @@ def _weights_file(*weights):
 _WEIGHTED_D = ["series", "--which", "D", "--weights", "w.json", "--order"]
 
 
+def _duplicate_weights(monkeypatch):
+    """Write w.json with two weights on 1,3|2,4, its text spaced apart."""
+    entries = [
+        {"partition": "1,3|2,4", "weight": "7/2"},
+        {"partition": " 1,3 | 2,4 ", "weight": "5"},
+    ]
+    with open("w.json", "w", encoding="utf-8") as handle:
+        json.dump(entries, handle)
+
+
 def _failing_check(monkeypatch):
     monkeypatch.setattr(verify_module, "CHECKS", (("always fails", lambda ctx: "broken"),))
 
@@ -378,6 +387,8 @@ EXIT_CODES = [
     ([*_WEIGHTED_D, "7"], 2, _weights_file("1", str(10**30))),
     ([*_WEIGHTED_D, "8"], 2, _weights_file(f"-{10**30}/7")),
     ([*_WEIGHTED_D, "4"], 0, _weights_file("1", str(10**30))),
+    # A partition takes one weight; a second entry for it is bad input.
+    ([*_WEIGHTED_D, "9"], 2, _duplicate_weights),
     (["verify", "--max-n", "3", "--weighted-trials", "1"], 0, None),
     (["verify"], 1, _failing_check),
     (["verify", "--max-n", "4", "--weighted-trials", "1"], 1, _miscount),
@@ -598,6 +609,25 @@ def test_console_script_reads_sys_argv(capsys):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines()[-1] == "purecross: error: unrecognized arguments: extra"
+
+
+def test_verify_is_imported_on_first_use():
+    # The package and its CLI load without the invariant suite, and
+    # run_checks still resolves as an attribute and through both imports.
+    script = (
+        "import sys, purecross, purecross.cli\n"
+        "print('purecross.verify' in sys.modules)\n"
+        "from purecross import run_checks\n"
+        "namespace = {}\n"
+        "exec('from purecross import *', namespace)\n"
+        "print(run_checks is purecross.run_checks is namespace['run_checks']"
+        " is sys.modules['purecross.verify'].run_checks)\n"
+        "print(hasattr(purecross, 'no_such_name'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=False
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\nFalse\n", "")
 
 
 def test_closed_stdout_exits_141_without_traceback():

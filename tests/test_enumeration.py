@@ -309,6 +309,35 @@ def test_deep_counts_match_published_table(n, deep):
     assert count(n, PartitionClass.ALL) == everything
 
 
+def test_co_verdicts_start_over_when_full(monkeypatch):
+    # A table of 4 verdicts is full thousands of times in the walk at
+    # n = 9; the stream must not change.
+    reference = [pi.rgs for pi in iterate(9, PartitionClass.CONNECTED)]
+    monkeypatch.setattr(enumeration, "_VERDICTS_KEPT", 4)
+    assert [pi.rgs for pi in iterate(9, PartitionClass.CONNECTED)] == reference
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_co_verdicts_stay_bounded(deep):
+    # At n = 13 the walk meets more collapsed forms with neighbors than
+    # the verdict table keeps: about 65 MB of peak RSS if it kept all of
+    # them, about 30 MB with the table started over whenever it is full.
+    # VmHWM is the peak of the child's own address space; ru_maxrss would
+    # also count the pages it shared with this process before exec.
+    code = (
+        "import purecross\n"
+        "print(purecross.count(13, 'co'))\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    total, peak_kib = map(int, proc.stdout.split())
+    assert total == PUBLISHED_COUNTS[13][2]
+    assert peak_kib < 45 * 1024
+
+
 def test_orbit_size():
     assert orbit_size(Partition.parse("1,3|2,4")) == 1
     assert orbit_size(Partition.parse("1,3,5|2,4,6")) == 1

@@ -3,12 +3,14 @@
 import copy
 import json
 import pickle
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from purecross import ParseError, Partition, PartitionError, iterate
+from purecross.partition import _scan
 
 from oracles import (
     all_partitions_brute,
@@ -120,6 +122,54 @@ class TestConstruction:
             Partition(-1, [])
 
 
+def _scanned(text):
+    """Partition.parse as the token scanner alone reads the text."""
+    if not text.strip():
+        return Partition.empty()
+    blocks = _scan(text)
+    return Partition(max(map(max, blocks)), blocks)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).rgs
+    except PartitionError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+# Spaces the scanner skips (int() does not strip \x1c), a decimal digit
+# that is not ASCII, a digit that is not decimal, and letters.
+_FUZZ_ALPHABET = "0123456789" * 3 + ",|" * 6 + "\t\n\x1c\xa0 " * 2 + "\u0663\u00b2ax"
+
+
+def _parse_corpus():
+    """Fixed edge cases, then 24,000 seeded texts: random strings over
+    the alphabet, and the text of random partitions with whitespace put
+    around their tokens, half of them with one character changed."""
+    yield from (
+        "", "  ", "1,,2", "|1", "1|", "1 2", "0", "0,1|1", "1,2|2", "1,3",
+        "1" * 5000, "1|1000000000000", "1 |\x1c2", "2,\u0663|1", "1,\u00b2",
+        "00,1", " " + "1" * 4300 + " ", "1|" + "1" * 4301 + " ",
+    )
+    rnd = random.Random(2016)
+    spaces = " \t\n\x1c\xa0"
+    for i in range(24_000):
+        if i % 2:
+            yield "".join(rnd.choices(_FUZZ_ALPHABET, k=rnd.randint(0, 12)))
+            continue
+        n = rnd.randint(1, 9)
+        labels = [rnd.randrange(n) for _ in range(n)]
+        blocks = {}
+        for atom, label in enumerate(labels, 1):
+            blocks.setdefault(label, []).append(str(atom))
+        tokens = "|".join(",".join(b) for b in blocks.values())
+        text = "".join(rnd.choice(["", "", "", *spaces]) + c for c in tokens)
+        if i % 4:
+            k = rnd.randrange(len(text) + 1)
+            text = text[:k] + rnd.choice(["", *_FUZZ_ALPHABET]) + text[k + 1:]
+        yield text
+
+
 class TestTextForms:
     def test_text(self):
         assert Partition(4, [[1, 3], [2, 4]]).text() == "1,3|2,4"
@@ -151,6 +201,7 @@ class TestTextForms:
     def test_huge_atom_fails_in_bounded_memory(self):
         for build in (
             lambda: Partition.parse("10000000"),
+            lambda: Partition.parse("1|1000000000000"),
             lambda: Partition.from_json({"n": 10**7, "blocks": [[1]]}),
         ):
             tracemalloc.start()
@@ -161,6 +212,13 @@ class TestTextForms:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+    def test_parse_matches_the_scanner(self):
+        # parse reads text that fits the grammar by splitting it, and the
+        # scanner reads every text; both must give the same partition or
+        # the same error, message and offset.
+        for text in _parse_corpus():
+            assert _outcome(Partition.parse, text) == _outcome(_scanned, text), repr(text)
 
     def test_repr_round_trips(self):
         pi = Partition(5, [[1, 4], [2, 3], [5]])

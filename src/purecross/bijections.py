@@ -82,11 +82,10 @@ class CoverDecomposition:
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.cover.is_noncrossing():
             raise ValueError(f"cover {self.cover} is crossing")
-        if len(self.pieces) != len(self.cover.blocks):
-            raise ValueError(
-                f"{len(self.pieces)} pieces for {len(self.cover.blocks)} cover blocks"
-            )
-        for block, piece in zip(self.cover.blocks, self.pieces):
+        blocks = self.cover.blocks
+        if len(self.pieces) != len(blocks):
+            raise ValueError(f"{len(self.pieces)} pieces for {len(blocks)} cover blocks")
+        for block, piece in zip(blocks, self.pieces):
             if piece.n != len(block):
                 raise ValueError(
                     f"piece of size {piece.n} against cover block of size {len(block)}"
@@ -292,10 +291,9 @@ class WeightAssignment:
     def items(self):
         """Assigned entries, ordered by partition for deterministic output."""
         scale = self._scale
-        return [
-            (Partition._raw(rgs), Fraction(value, scale))
-            for rgs, value in sorted(self._scaled.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
+        return sorted(
+            (Partition._raw(rgs), Fraction(value, scale)) for rgs, value in self._scaled.items()
+        )
 
     def to_json(self) -> list[dict]:
         return [

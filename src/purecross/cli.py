@@ -130,7 +130,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_series(args) -> int:
     order = args.order
-    w = WeightAssignment()
+    reaching = []  # (n, weight) of each assigned partition with n <= order
     if args.weights is not None:
         try:
             with open(args.weights, encoding="utf-8") as handle:
@@ -140,22 +140,21 @@ def _cmd_series(args) -> int:
             return _fail(f"cannot read weights file: {exc}")
         except (ValueError, PartitionError) as exc:
             return _fail(f"bad weights file: {exc}")
-        reaching = [weight for pi, weight in w.items() if pi.n <= order]
-        if lcm(*(weight.denominator for weight in reaching)) >= 10**_SERIES_MAX_DEN_DIGITS:
+        reaching = [(pi.n, weight) for pi, weight in w.items() if pi.n <= order]
+        if lcm(*(weight.denominator for _, weight in reaching)) >= 10**_SERIES_MAX_DEN_DIGITS:
             return _fail(
                 f"the lcm of the weights' denominators must have at most "
                 f"{_SERIES_MAX_DEN_DIGITS} digits"
             )
-        if any(abs(weight.numerator) >= 10**_SERIES_MAX_NUM_DIGITS for weight in reaching):
+        if any(abs(weight.numerator) >= 10**_SERIES_MAX_NUM_DIGITS for _, weight in reaching):
             return _fail(
                 f"the weights' numerators must have at most {_SERIES_MAX_NUM_DIGITS} digits"
             )
     # A holds the table's |PC_n| column; an assigned weight replaces its
     # partition's default 1.
     coeffs = [0] + [row[1] for row in counts_table(order).rows]
-    for pi, weight in w.items():
-        if pi.n <= order:
-            coeffs[pi.n] += weight - 1
+    for n, weight in reaching:
+        coeffs[n] += weight - 1
     a = Series(coeffs, order=order)
     # B, C and D come from the forward pass, which A does not need.
     chosen = a if args.which == "A" else forward_weighted(a)["BCD".index(args.which)]

@@ -1,15 +1,15 @@
 """Set partitions of {1, ..., n} in canonical form.
 
-A partition is stored as its restricted-growth string ``rgs``, where
-``rgs[i]`` is the index of the block containing atom ``i + 1`` and
-blocks are numbered in order of first appearance; the rgs is the key
-used for hashing and ordering.  Every instance is made by the one
-trusted constructor ``Partition._raw``, which also reads the tuple of
-blocks (sorted by their minimum, atoms ascending inside each block) off
-the string in one pass.  ``Partition(n, blocks)``, ``from_rgs``,
-``parse`` and ``from_json`` check their input before they call it;
-partitions derived from one already built (the cover, rotations,
-restrictions) go to it directly.
+A partition stores its restricted-growth string ``rgs`` and nothing
+else: ``rgs[i]`` is the index of the block containing atom ``i + 1``,
+blocks numbered in order of first appearance.  The size ``n`` is the
+length of the string, the hash is the string's, and the tuple of blocks
+(sorted by their minimum, atoms ascending inside each block) is read off
+the string in one pass whenever it is asked for.  Every instance is
+made by the one trusted constructor ``Partition._raw``.
+``Partition(n, blocks)``, ``from_rgs``, ``parse`` and ``from_json``
+check their input before they call it; partitions derived from one
+already built (the cover, rotations, restrictions) go to it directly.
 
 The predicates defined here classify a partition into the families the
 rest of the package enumerates and transforms: noncrossing, connected
@@ -143,12 +143,13 @@ class Partition:
 
     Construct from blocks (any iterable of iterables), a restricted-growth
     string, or the text format ``"1,3|2,4"``; each is checked, then
-    turned into the rgs that ``_raw`` stores.  The empty partition of the
-    empty ground set exists as ``Partition.empty()``; it only occurs as a
-    gap filler in decompositions, never in enumeration streams.
+    turned into the rgs that ``_raw`` stores, the one field an instance
+    has.  ``n`` and ``blocks`` are read off it.  The empty partition of
+    the empty ground set exists as ``Partition.empty()``; it only occurs
+    as a gap filler in decompositions, never in enumeration streams.
     """
 
-    __slots__ = ("n", "blocks", "rgs", "_hash")
+    __slots__ = ("rgs",)
 
     def __new__(cls, n: int, blocks):
         return cls._raw(_checked_rgs(n, blocks))
@@ -160,20 +161,26 @@ class Partition:
     @classmethod
     def _raw(cls, rgs) -> "Partition":
         """The partition with restricted-growth tuple ``rgs``, unchecked.
-        Every instance is made here, and its blocks are read off the
-        string in one pass."""
+        Every instance is made here, and it stores the string alone."""
+        self = object.__new__(cls)
+        self.rgs = rgs
+        return self
+
+    @property
+    def n(self) -> int:
+        """The size of the ground set: the length of the rgs."""
+        return len(self.rgs)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks, read off the rgs in one pass on each access."""
         blocks = []
-        for atom, v in enumerate(rgs, 1):
+        for atom, v in enumerate(self.rgs, 1):
             if v < len(blocks):
                 blocks[v].append(atom)
             else:
                 blocks.append([atom])
-        self = object.__new__(cls)
-        self.n = n = len(rgs)
-        self.blocks = tuple(map(tuple, blocks))
-        self.rgs = rgs
-        self._hash = hash((n, rgs))
-        return self
+        return tuple(map(tuple, blocks))
 
     @classmethod
     def from_rgs(cls, rgs) -> "Partition":
@@ -269,10 +276,10 @@ class Partition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.n == other.n and self.rgs == other.rgs
+        return self.rgs == other.rgs  # equal strings have equal lengths
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.rgs)
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -341,7 +348,9 @@ class Partition:
         >>> str(Partition.parse("1,3|2,4|5").noncrossing_cover())
         '1,2,3,4|5'
         """
-        return Partition._raw(_rgs_cover(self.rgs))
+        # Blocks with one root share a cover block.
+        root = _rgs_roots(self.rgs)
+        return Partition._raw(_relabel([root[b] for b in self.rgs]))
 
     def rotate(self, r: int) -> "Partition":
         """Relabel every atom i to ((i - 1 + r) mod n) + 1 and recanonicalize."""
@@ -368,7 +377,7 @@ class Partition:
             raise PartitionError("partitions of different ground sets")
         # Each block of self lies in one block of other exactly when no
         # block of self pairs with two blocks of other.
-        return len(set(zip(self.rgs, other.rgs))) == len(self.blocks)
+        return len(set(zip(self.rgs, other.rgs))) == len(set(self.rgs))
 
 
 # -- rgs-level predicate kernels -----------------------------------
@@ -407,12 +416,8 @@ def _rgs_connected(rgs) -> bool:
     n = len(rgs)
     if n <= 1:
         return True
-    nb = 0
-    for v in rgs:
-        if v >= nb:
-            nb = v + 1
-    first = [-1] * nb
-    last = [0] * nb
+    first = [-1] * n  # per block: a string of n atoms has at most n blocks
+    last = [0] * n
     for i in range(n):
         b = rgs[i]
         if first[b] < 0:
@@ -478,10 +483,3 @@ def _rgs_roots(rgs) -> list[int]:
     for b, p in enumerate(parent):
         parent[b] = parent[p]
     return parent
-
-
-def _rgs_cover(rgs) -> tuple[int, ...]:
-    """The rgs of the noncrossing cover: blocks with one root share a
-    cover block."""
-    root = _rgs_roots(rgs)
-    return _relabel([root[b] for b in rgs])

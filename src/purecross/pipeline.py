@@ -115,7 +115,7 @@ def derive_a_from_b(b: Series) -> Series:
         raise ValueError("constant term must be 0")
     a = [_ZERO, _ZERO]
     for n in range(2, b.order + 1):
-        a.append(b[n] - a[-1])
+        a.append(b.coeffs[n] - a[-1])
     return Series(a, order=b.order)
 
 
@@ -279,6 +279,7 @@ def counts_table(max_n: int) -> CountsTable:
     c = derive_c_from_d(d)
     b = derive_b_from_c(c)
     a = derive_a_from_b(b)
+    a, b, c, d = (s.coeffs for s in (a, b, c, d))  # tuples, indexed without a call
     rows = tuple(
         (n, _as_int(a[n]), _as_int(b[n]), _as_int(c[n]), _as_int(d[n]))
         for n in range(1, max_n + 1)

@@ -58,6 +58,8 @@ class Series:
         return cls([0, 1], order=order)
 
     def __getitem__(self, k: int) -> Fraction:
+        if type(k) is not int:  # a bool is no index, nor a float
+            raise TypeError(f"series index {k!r} is not an integer")
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond order {self.order}")
         return self.coeffs[k]

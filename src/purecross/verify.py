@@ -90,8 +90,9 @@ def check_cover_minimality(ctx):
                 return f"cover of {pi} is not a noncrossing coarsening"
             # Every coarsening of pi, in lex order: blocks are ordered by
             # their least atom, so merging them keeps restricted growth.
-            for merge in merges[len(pi.blocks) - 1]:
-                for block, label in zip(pi.blocks, merge):
+            blocks = pi.blocks
+            for merge in merges[len(blocks) - 1]:
+                for block, label in zip(blocks, merge):
                     for a in block:
                         rgs[a - 1] = label
                 rho = Partition.from_rgs(rgs)

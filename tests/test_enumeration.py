@@ -338,6 +338,25 @@ def test_co_verdicts_stay_bounded(deep):
     assert peak_kib < 45 * 1024
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_members_store_their_rgs_alone(deep):
+    # A member keeps its rgs and nothing else: the 678,570 partitions of
+    # 11 atoms, held at once, peak near 136 MB.  Storing their blocks,
+    # size and hash as well peaked near 436 MB.
+    code = (
+        "import purecross\n"
+        "print(len(list(purecross.iterate(11))))\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    total, peak_kib = map(int, proc.stdout.split())
+    assert total == PUBLISHED_COUNTS[11][3]
+    assert peak_kib < 250 * 1024
+
+
 def test_orbit_size():
     assert orbit_size(Partition.parse("1,3|2,4")) == 1
     assert orbit_size(Partition.parse("1,3,5|2,4,6")) == 1

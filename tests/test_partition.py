@@ -58,20 +58,46 @@ class TestConstruction:
         assert Partition(5, [[1, 2, 5], [3], [4]]).rgs == (0, 0, 1, 2, 0)
 
     def test_from_rgs_roundtrip_exhaustive(self):
-        # Equality reads only n and the rgs, so the blocks every
-        # constructor derives are checked against the oracle's directly.
-        for n in range(1, 7):
-            members = {pi.rgs: pi for pi in iterate(n)}
+        # Every way to build or copy a partition gives one value: equal,
+        # one hash, one place in the order between its neighbours in the
+        # enumeration, and the blocks the oracle gives.  Equality reads
+        # only the rgs, so the blocks are checked against the oracle's
+        # directly.
+        members = [pi for n in range(1, 8) for pi in iterate(n)]
+        rank = {pi.rgs: i for i, pi in enumerate(members)}
+        for n in range(1, 8):
             everything = list(all_partitions_brute(n))
-            assert len(members) == len(everything)
+            assert sum(len(rgs) == n for rgs in rank) == len(everything)
             for blocks in everything:
                 expected = canonical(blocks)
                 pi = Partition(n, [b[::-1] for b in reversed(blocks)])
                 assert pi.n == n and pi.blocks == expected
-                again = Partition.from_rgs(pi.rgs)
-                assert again == pi and hash(again) == hash(pi)
-                assert again.blocks == expected
-                assert members[pi.rgs].blocks == expected
+                i = rank[pi.rgs]
+                below = members[i - 1] if i > 0 else None
+                above = members[i + 1] if i + 1 < len(members) else None
+                for same in (
+                    Partition.from_rgs(pi.rgs),
+                    Partition.parse(pi.text()),
+                    Partition.from_json(json.loads(json.dumps(pi.to_json()))),
+                    members[i],
+                    pickle.loads(pickle.dumps(pi)),
+                    copy.copy(pi),
+                    copy.deepcopy(pi),
+                ):
+                    assert same == pi and hash(same) == hash(pi)
+                    assert same.n == n and same.blocks == expected
+                    assert same <= pi and not same < pi and not pi < same
+                    assert below is None or (below < same and not same < below)
+                    assert above is None or (same < above and not above < same)
+
+    def test_n_and_blocks_are_read_off_the_rgs(self):
+        # The rgs is the one field; n and blocks cannot be set apart from it.
+        assert Partition.__slots__ == ("rgs",)
+        pi = Partition.parse("1,3|2,4")
+        for name, value in (("n", 5), ("blocks", ((1, 2, 3, 4),))):
+            with pytest.raises(AttributeError):
+                setattr(pi, name, value)
+        assert pi.n == 4 and pi.blocks == ((1, 3), (2, 4))
 
     def test_from_rgs_rejects_gaps(self):
         with pytest.raises(PartitionError):

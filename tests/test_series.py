@@ -83,6 +83,13 @@ class TestConstruction:
         with pytest.raises(IndexError):
             f[-1]
 
+    def test_getitem_takes_only_ints(self):
+        # True would read coefficient 1: no bool is treated as a number.
+        f = Series([1, 2, 3])
+        for index in (True, False, 1.0, Fraction(1)):
+            with pytest.raises(TypeError, match="not an integer"):
+                f[index]
+
     def test_equality_includes_order(self):
         assert Series([1, 2], order=2) == Series([1, 2, 0], order=2)
         assert Series([1, 2], order=2) != Series([1, 2], order=3)

@@ -31,6 +31,7 @@ from functools import lru_cache
 from math import lcm
 
 from .partition import Partition, _integer, _rgs_roots
+from .series import _to_fraction
 
 _ONE = Fraction(1)
 
@@ -265,14 +266,7 @@ class WeightAssignment:
                     raise ValueError(f"{pi} is not a purely crossing partition")
                 if pi.rgs in table:
                     raise ValueError(f"{pi} is assigned more than one weight")
-                if isinstance(value, (float, bool)):
-                    raise TypeError("float and bool weights are not allowed; use Fraction or str")
-                if isinstance(value, str) and "e" in value.lower():  # 1e999999999 builds 10^999999999
-                    raise ValueError(f"weight {value!r} uses exponent notation; write an integer or p/q")
-                try:
-                    table[pi.rgs] = Fraction(value)
-                except ZeroDivisionError:
-                    raise ValueError(f"weight {value!r} has a zero denominator") from None
+                table[pi.rgs] = _to_fraction(value, "weight")
         self._scale = scale = lcm(*(q.denominator for q in table.values()))
         self._scaled = {key: q.numerator * (scale // q.denominator) for key, q in table.items()}
 

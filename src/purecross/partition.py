@@ -43,13 +43,12 @@ class ParseError(PartitionError):
         self.pos = pos
 
 
-# The whole of valid partition text: atoms (runs of decimal digits)
+# The one definition of partition text: atoms (runs of decimal digits)
 # separated by ',' inside a block and '|' between blocks, with whitespace
-# around any of them.  ``\s`` and ``\d`` are the whitespace the scanner
-# skips and the digits it reads, so on text that fits, the scanner can
-# only object to an atom 0 or one of too many digits.
+# around any of them.  ``parse`` splits text that fits it, and ``_scan``
+# reports an error where its longest match stops, so the whitespace
+# skipped and the digits read are always the grammar's ``\s`` and ``\d``.
 _GRAMMAR = re.compile(r"\s*\d+\s*(?:[,|]\s*\d+\s*)*")
-_TOKEN = re.compile(r"\d+|[,|]")
 
 
 def _integer(value, name: str, least=None, most=None) -> int:
@@ -95,47 +94,41 @@ def _checked_rgs(n: int, raw_blocks) -> tuple[int, ...]:
 
 
 def _scan(text: str) -> list[list[int]]:
-    """The blocks of nonblank partition text, read token by token; raises
-    ``ParseError`` at the first offending character.  ``Partition.parse``
-    calls it only when its grammar match and split give no partition."""
-    blocks: list[list[int]] = []
-    current: list[int] = []
-    expect_atom = True
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character", text, pos)
-        tok = m.group()
-        if tok.isdigit():
-            if not expect_atom:
-                raise ParseError("expected ',' or '|'", text, pos)
-            try:
-                atom = int(tok)
-            except ValueError:  # more digits than int() converts
-                raise ParseError("atom number has too many digits", text, pos) from None
-            if atom == 0:
-                raise ParseError("atom numbers start at 1", text, pos)
-            current.append(atom)
-            expect_atom = False
-        elif tok == ",":
-            if expect_atom:
-                raise ParseError("expected an atom number", text, pos)
-            expect_atom = True
-        else:
-            if expect_atom:
-                raise ParseError("expected an atom number", text, pos)
-            blocks.append(current)
-            current = []
-            expect_atom = True
-        pos = m.end()
-    if expect_atom:
+    """The blocks of nonblank partition text, or ``ParseError`` at the
+    first offending character.  ``Partition.parse`` calls it only when
+    its grammar match and split give no partition.
+
+    The longest prefix ``_GRAMMAR`` accepts is read atom by atom, so an
+    atom 0 or one of too many digits is reported where it starts.  Past
+    the prefix, after the whitespace and any separator that lacks its
+    atom, the next character is what is wrong: the end of the text or a
+    second separator wants an atom, a digit wants a separator, and
+    anything else is foreign.
+    """
+    fit = _GRAMMAR.match(text)
+    end = fit.end() if fit else 0
+    blocks: list[list[int]] = [[]]
+    last = 0
+    for atom in re.finditer(r"\d+", text[:end]):
+        if "|" in text[last:atom.start()]:
+            blocks.append([])
+        last = atom.end()
+        try:
+            value = int(atom.group())
+        except ValueError:  # more digits than int() converts
+            raise ParseError("atom number has too many digits", text, atom.start()) from None
+        if value == 0:
+            raise ParseError("atom numbers start at 1", text, atom.start())
+        blocks[-1].append(value)
+    if end == len(text):
+        return blocks
+    pos = end + 1 if fit and text[end] in ",|" else end
+    pos = re.compile(r"\s*").match(text, pos).end()
+    if pos == len(text) or text[pos] in ",|":
         raise ParseError("expected an atom number", text, pos)
-    blocks.append(current)
-    return blocks
+    if _GRAMMAR.match(text, pos):  # a digit, since whitespace is skipped
+        raise ParseError("expected ',' or '|'", text, pos)
+    raise ParseError("unexpected character", text, pos)
 
 
 class Partition:
@@ -144,15 +137,23 @@ class Partition:
     Construct from blocks (any iterable of iterables), a restricted-growth
     string, or the text format ``"1,3|2,4"``; each is checked, then
     turned into the rgs that ``_raw`` stores, the one field an instance
-    has.  ``n`` and ``blocks`` are read off it.  The empty partition of
-    the empty ground set exists as ``Partition.empty()``; it only occurs
-    as a gap filler in decompositions, never in enumeration streams.
+    has.  ``n`` and ``blocks`` are read off it, and no attribute can be
+    set or deleted once ``_raw`` has filled the slot.  The empty
+    partition of the empty ground set exists as ``Partition.empty()``; it
+    only occurs as a gap filler in decompositions, never in enumeration
+    streams.
     """
 
     __slots__ = ("rgs",)
 
     def __new__(cls, n: int, blocks):
         return cls._raw(_checked_rgs(n, blocks))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Partition is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Partition is immutable")
 
     def __reduce__(self):
         # Pickle and copy rebuild through the checked rgs constructor.
@@ -161,9 +162,10 @@ class Partition:
     @classmethod
     def _raw(cls, rgs) -> "Partition":
         """The partition with restricted-growth tuple ``rgs``, unchecked.
-        Every instance is made here, and it stores the string alone."""
+        Every instance is made here, and it stores the string alone
+        through the slot's own setter, past ``__setattr__``."""
         self = object.__new__(cls)
-        self.rgs = rgs
+        _set_rgs(self, rgs)
         return self
 
     @property
@@ -229,10 +231,11 @@ class Partition:
         Text that fits ``_GRAMMAR`` is split on ``|`` and ``,``, its atoms
         are read by ``int`` and checked as a partition of as many atoms as
         the text has.  If that fails (text that does not fit, an atom 0 or
-        one ``int`` refuses, a repeated or missing atom), the token
-        scanner ``_scan`` reads the text again and the blocks are checked
-        on 1 .. max atom: every error, its message and its offset are the
-        scanner's, and syntax errors come before partition errors.
+        one ``int`` refuses, a repeated or missing atom), ``_scan`` reads
+        the longest prefix the grammar accepts and reports the first
+        error in or after it; text with no such error is checked as
+        blocks on 1 .. max atom, so syntax errors come before partition
+        errors.
 
         >>> Partition.parse("1,3|2,4").blocks
         ((1, 3), (2, 4))
@@ -378,6 +381,9 @@ class Partition:
         # Each block of self lies in one block of other exactly when no
         # block of self pairs with two blocks of other.
         return len(set(zip(self.rgs, other.rgs))) == len(set(self.rgs))
+
+
+_set_rgs = Partition.rgs.__set__
 
 
 # -- rgs-level predicate kernels -----------------------------------

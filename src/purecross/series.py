@@ -1,7 +1,8 @@
 """Truncated formal power series with exact rational coefficients.
 
 A :class:`Series` holds coefficients c0 .. c_order as ``Fraction``s; no
-floating point or bool is accepted anywhere.  Binary operations
+floating point or bool is accepted anywhere, nor a string in exponent
+notation or with a zero denominator.  Binary operations
 truncate to the smaller operand order and record it on the result;
 nothing ever extends an order.
 
@@ -17,10 +18,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _to_fraction(value) -> Fraction:
+def _to_fraction(value, name="coefficient") -> Fraction:
+    """``value`` as an exact ``Fraction``; ``name`` says what it is in
+    the errors.  A float or bool raises ``TypeError``; a string in
+    exponent notation or with a zero denominator raises ``ValueError``."""
     if isinstance(value, (float, bool)):
-        raise TypeError("float and bool coefficients are not allowed; use Fraction or str")
-    return Fraction(value)
+        raise TypeError(f"float and bool {name}s are not allowed; use Fraction or str")
+    if isinstance(value, str) and "e" in value.lower():  # 1e999999999 builds 10^999999999
+        raise ValueError(f"{name} {value!r} uses exponent notation; write an integer or p/q")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {value!r} has a zero denominator") from None
 
 
 class Series:

@@ -1,6 +1,7 @@
 """Partition construction, canonical forms, predicates, and the cover."""
 
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -99,6 +100,20 @@ class TestConstruction:
                 setattr(pi, name, value)
         assert pi.n == 4 and pi.blocks == ((1, 3), (2, 4))
 
+    def test_rgs_is_read_only(self):
+        # A member of a set keeps its hash, and no unchecked string gets in.
+        pi = Partition.parse("1,3|2,4")
+        members = {pi}
+        for change in (
+            lambda: setattr(pi, "rgs", (0, 0, 0, 0)),
+            lambda: setattr(pi, "rgs", [0, 5]),
+            lambda: delattr(pi, "rgs"),
+            lambda: setattr(pi, "extra", 1),
+        ):
+            with pytest.raises(AttributeError, match="immutable"):
+                change()
+        assert pi.rgs == (0, 1, 0, 1) and pi in members
+
     def test_from_rgs_rejects_gaps(self):
         with pytest.raises(PartitionError):
             Partition.from_rgs([0, 2])
@@ -149,7 +164,7 @@ class TestConstruction:
 
 
 def _scanned(text):
-    """Partition.parse as the token scanner alone reads the text."""
+    """Partition.parse as the scanner alone reads the text."""
     if not text.strip():
         return Partition.empty()
     blocks = _scan(text)
@@ -241,10 +256,22 @@ class TestTextForms:
 
     def test_parse_matches_the_scanner(self):
         # parse reads text that fits the grammar by splitting it, and the
-        # scanner reads every text; both must give the same partition or
-        # the same error, message and offset.
+        # scanner reads the grammar's longest prefix of every text; both
+        # must give the same partition or the same error, message and
+        # offset.
         for text in _parse_corpus():
             assert _outcome(Partition.parse, text) == _outcome(_scanned, text), repr(text)
+
+    def test_parse_outcomes_are_pinned(self):
+        # The partition, or the error type, message and offset, of every
+        # corpus text: _scan derives each error from where the grammar
+        # stops, and the digest holds every one of them fixed.
+        digest = hashlib.sha256()
+        for text in _parse_corpus():
+            digest.update(f"{_outcome(Partition.parse, text)!r}\n".encode())
+        assert digest.hexdigest() == (
+            "0b36066256371e57deaa351a94225c5f083f73cfbddec22b72bfaa9d7c9e692f"
+        )
 
     def test_repr_round_trips(self):
         pi = Partition(5, [[1, 4], [2, 3], [5]])

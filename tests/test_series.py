@@ -71,6 +71,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Series([1], order=-1)
 
+    def test_rejects_exponents_and_zero_denominators(self):
+        # The rule weights follow: Fraction would build 10^200000 for the
+        # first, and raise a bare ZeroDivisionError for the last.
+        for text, message in (
+            ("1e200000", "coefficient '1e200000' uses exponent notation"),
+            ("1e999999999", "exponent"),
+            ("1/0", "coefficient '1/0' has a zero denominator"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Series([text])
+
     def test_accepts_strings_and_fractions(self):
         f = Series(["1/2", Fraction(1, 3), 2])
         assert f.coeffs == (Fraction(1, 2), Fraction(1, 3), 2)

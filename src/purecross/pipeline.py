@@ -25,12 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import add
 
 from .bijections import WeightAssignment, _keys_from_roots
 from .enumeration import _iter_rgs_no_singletons
 from .partition import _integer, _rgs_roots
-from .series import Series, _integral, solve_fixpoint
+from .series import Series, _integral, _monic, _mul, solve_fixpoint
 
 _ZERO = Fraction(0)
 
@@ -76,17 +76,17 @@ def derive_c_from_d(d: Series) -> Series:
     k = n term is c_n itself, c_n = d_n - sum_{k<n} c_k [x^(n-k)] D^k.
     One power row p = D^k, cut to degree m - k, is multiplied by D once
     per k, and one accumulator row collects the sums: about m^3 / 6
-    products at order m.  With L the lcm of the denominators of d, D(L x)
-    is integral with constant term 1 and satisfies the same relation
-    with C(L x), so the loop runs on ints without a division and c_n is
-    its result over L^n.  The result has order d.order - 1."""
+    products at order m.  With L the lcm of the denominators of d,
+    D(L x) from :func:`series._monic` is integral with constant term 1
+    and satisfies the same relation with C(L x), so the loop runs on ints
+    without a division, each power row one :func:`series._mul`, and c_n
+    is its result over L^n.  The result has order d.order - 1."""
     if d.order < 1:
         raise ValueError("need order >= 1")
     if d[0] != 1:
         raise ValueError("constant term must be 1")
     m = d.order - 1
-    z, scale = _integral(d.coeffs[: m + 1])
-    dt = [1] + [v * scale ** (k - 1) for k, v in enumerate(z[1:], 1)]  # d_k L^k
+    dt, scale, _ = _monic(d.coeffs[: m + 1])  # d_k L^k
     acc = [0] * (m + 1)
     p = dt[:m]  # D(L x)^k through x^(m-k), for k = 1
     out = [_ZERO]
@@ -94,8 +94,7 @@ def derive_c_from_d(d: Series) -> Series:
         ck = dt[k] - acc[k]
         out.append(Fraction(ck, scale**k))
         acc[k + 1 :] = [a + ck * v for a, v in zip(acc[k + 1 :], p[1:])]
-        # [x^i] p * D(L x); map stops where dt[i::-1] does, at p_i.
-        p = [sum(map(mul, p, dt[i::-1])) for i in range(m - k)]
+        p = _mul(p, dt, m - k)
     return Series(out, order=m)
 
 

@@ -11,20 +11,26 @@ nothing ever extends an order.
 (Fraction(0, 1), Fraction(1, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(-5, 1), Fraction(14, 1))
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+# Text that Fraction reads as a decimal with an exponent: its grammar
+# with the exponent made compulsory.  1e999999999 builds 10^999999999.
+# re compiles it on first use, so an import does not pay for it.
+_EXPONENT = r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?e[-+]?\d+(?:_\d+)*\s*"
 
 
 def _to_fraction(value, name="coefficient") -> Fraction:
     """``value`` as an exact ``Fraction``; ``name`` says what it is in
     the errors.  A float or bool raises ``TypeError``; a string in
-    exponent notation or with a zero denominator raises ``ValueError``."""
+    exponent notation or with a zero denominator raises ``ValueError``,
+    and other text Fraction cannot read raises Fraction's own error."""
     if isinstance(value, (float, bool)):
         raise TypeError(f"float and bool {name}s are not allowed; use Fraction or str")
-    if isinstance(value, str) and "e" in value.lower():  # 1e999999999 builds 10^999999999
+    if isinstance(value, str) and re.fullmatch(_EXPONENT, value, re.I):
         raise ValueError(f"{name} {value!r} uses exponent notation; write an integer or p/q")
     try:
         return Fraction(value)
@@ -106,14 +112,10 @@ class Series:
     def __mul__(self, other) -> "Series":
         if isinstance(other, Series):
             m = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            out = [_ZERO] * (m + 1)
-            for i in range(m + 1):
-                ai = a[i]
-                if ai:
-                    for j in range(m + 1 - i):
-                        out[i + j] += ai * b[j]
-            return Series(out, order=m)
+            a, a_den = _integral(self.coeffs[: m + 1])
+            b, b_den = _integral(other.coeffs[: m + 1])
+            den = a_den * b_den
+            return Series([Fraction(v, den) for v in _mul(a, b, m + 1)], order=m)
         scalar = _to_fraction(other)
         return Series([scalar * c for c in self.coeffs], order=self.order)
 
@@ -144,6 +146,8 @@ class Series:
         Horner's rule on integers: with F = M * self and G = L * inner
         integral (M, L the lcms of the denominators), r <- r * G + F_k L^(m-k)
         for k = m-1 .. 0 gives M L^m self(inner), divided out once at the end.
+        Each step is one truncated product :func:`_mul`; G_0 = 0 leaves the
+        constant term free for F_k L^(m-k).
         """
         if not isinstance(inner, Series):
             raise TypeError("compose expects a Series")
@@ -156,30 +160,23 @@ class Series:
         scale = 1
         for k in range(m - 1, -1, -1):
             scale *= g_den
-            nxt = [f[k] * scale] + [0] * m
-            for i in range(m):
-                ri = r[i]
-                if ri:
-                    for j in range(1, m + 1 - i):
-                        nxt[i + j] += ri * g[j]
-            r = nxt
+            r = _mul(r, g, m + 1)
+            r[0] = f[k] * scale
         den = f_den * scale
         return Series([Fraction(v, den) for v in r], order=m)
 
     def inverse(self) -> "Series":
-        """Reciprocal series 1 / self; needs an invertible constant term."""
-        c = self.coeffs
-        if c[0] == 0:
+        """Reciprocal series 1 / self; needs an invertible constant term.
+
+        With self = a * phi and f = phi(L t) integral (see :func:`_monic`),
+        1 / self has k-th coefficient [t^k] f^-1 / (a L^k), and f^-1 is
+        Miller's recurrence :func:`_power` at exponent -1, on integers.
+        """
+        if self.coeffs[0] == 0:
             raise ValueError("cannot invert a series with zero constant term")
-        inv0 = _ONE / c[0]
-        out = [inv0] + [_ZERO] * self.order
-        for k in range(1, self.order + 1):
-            acc = _ZERO
-            for i in range(1, k + 1):
-                if c[i]:
-                    acc += c[i] * out[k - i]
-            out[k] = -inv0 * acc
-        return Series(out, order=self.order)
+        f, scale, a = _monic(self.coeffs)
+        p = _power(f, -1, self.order + 1)
+        return Series([Fraction(v, scale**k) / a for k, v in enumerate(p)], order=self.order)
 
     def reversion(self) -> "Series":
         """Compositional inverse g with self(g) = g(self) = x.
@@ -202,6 +199,36 @@ def _integral(coeffs) -> tuple[list, int]:
     return [q.numerator * (den // q.denominator) for q in coeffs], den
 
 
+def _monic(coeffs) -> tuple[list, int, Fraction]:
+    """(f, L, a) for rational coeffs with a = coeffs[0] != 0: with
+    phi = coeffs / a and L the lcm of the denominators of phi, f is the
+    integer row of phi(L t), f_k = phi_k L^k, so f_0 = 1."""
+    z, _ = _integral(coeffs)  # phi = z / z_0
+    z0 = z[0]
+    scale = lcm(*(abs(z0) // gcd(z0, v) for v in z))
+    return [v * scale**k // z0 for k, v in enumerate(z)], scale, coeffs[0]
+
+
+def _mul(a, b, count) -> list:
+    """[t^i] a * b for i < count, on integer rows.  b needs count terms:
+    b[i::-1] is b_i .. b_0, so map pairs it with a_0 .. a_i and stops
+    there, and a may be shorter."""
+    return [sum(map(mul, a, b[i::-1])) for i in range(count)]
+
+
+def _power(f, e, count) -> list:
+    """[t^k] f^e for k < count, f an integer row with f_0 = 1 and count
+    terms, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    p_0 = 1 and p_k = sum_{j=1..k} ((e + 1) j - k) f_j p_{k-j} / k, which
+    holds for negative e too.  Every p_k is an integer, and each division
+    is checked."""
+    p = [1]
+    for k in range(1, count):
+        acc = sum(((e + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1))
+        p.append(_exact(acc, k))
+    return p
+
+
 def _exact(num: int, den: int) -> int:
     """num / den for integers known to divide; anything else is a bug."""
     quotient, remainder = divmod(num, den)
@@ -212,31 +239,19 @@ def _exact(num: int, den: int) -> int:
 
 def _lagrange(psi: Series, count: int, sign: int) -> list:
     """[w^n] G for n = 1 .. count, where G = x * psi(G)^sign, sign = +-1.
-    By Lagrange inversion, [w^n] G = [t^(n-1)] psi(t)^(sign n) / n.  Each
-    p = phi^e comes from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
-    4.7), p_0 = 1 and p_k = sum_{j=1..k} ((e + 1) j - k) phi_j p_{k-j} / k,
-    which holds for negative e too: O(count^3) in all.
+    By Lagrange inversion, [w^n] G = [t^(n-1)] psi(t)^(sign n) / n, and
+    each power is one :func:`_power` call: O(count^3) in all.
 
-    The loop runs on ints only, with exact divisions, checked.  With
-    a = psi_0, phi = psi / a and L the lcm of the denominators of phi,
-    the series phi(L t) is integral with constant term 1, so every p and
-    every p_(n-1) / n is an integer; the result is a^(sign n) times that
-    over L^(n-1).  ``psi`` needs psi_0 != 0 and terms through
-    t^(count - 1).
+    With psi = a * phi and f = phi(L t) from :func:`_monic`, every
+    [t^(n-1)] f^(sign n) / n is an integer, divided exactly and checked;
+    the result is a^(sign n) times that over L^(n-1).  ``psi`` needs
+    psi_0 != 0 and terms through t^(count - 1).
     """
-    z, _ = _integral(psi.coeffs[: count + 1])  # phi = z / z_0
-    z0 = z[0]
-    scale = lcm(*(abs(z0) // gcd(z0, v) for v in z))
-    f = [v * scale**k // z0 for k, v in enumerate(z)]
-    lead = psi.coeffs[0] ** sign  # a^sign
+    f, scale, a = _monic(psi.coeffs[:count])
+    lead = a**sign
     out = []
     for n in range(1, count + 1):
-        e = sign * n
-        p = [1]
-        for k in range(1, n):
-            acc = sum(((e + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1))
-            p.append(_exact(acc, k))
-        total = _exact(p[n - 1], n)
+        total = _exact(_power(f, sign * n, n)[n - 1], n)
         out.append(Fraction(lead.numerator**n * total, lead.denominator**n * scale ** (n - 1)))
     return out
 

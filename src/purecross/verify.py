@@ -348,6 +348,7 @@ def run_checks(max_n=7, trials=20, seed=0, out=print) -> bool:
     """Run every check; print one line each; True iff all pass."""
     _integer(max_n, "max_n", 1)
     _integer(trials, "trials", 1)
+    _integer(seed, "seed")
     ctx = VerifyContext(max_n=max_n, trials=trials, seed=seed)
     failures = 0
     for name, func in CHECKS:

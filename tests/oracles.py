@@ -132,6 +132,18 @@ def _recip_trunc(coeffs, order):
     return out
 
 
+def compose_trunc(outer, inner, order):
+    """outer(inner) through x^order, schoolbook: the sum of outer_k inner^k
+    over rising powers of inner, which needs inner_0 = 0."""
+    assert inner[0] == 0
+    total = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for c in outer[: order + 1]:
+        total = [t + c * v for t, v in zip(total, power)]
+        power = _mul_trunc(power, inner, order)
+    return total
+
+
 def lagrange_reversion(coeffs, order):
     """Compositional inverse by Lagrange inversion on raw coefficient lists.
 

@@ -117,6 +117,9 @@ BAD_SIZES = {
         max_n=0, trials=0, out=_no_check_may_run
     ),
     "run_checks(trials=0)": lambda: run_checks(trials=0, out=_no_check_may_run),
+    # A seed is any int, negative too, but not a bool or a float.
+    "run_checks(seed=True)": lambda: run_checks(seed=True, out=_no_check_may_run),
+    "run_checks(seed=2.5)": lambda: run_checks(seed=2.5, out=_no_check_may_run),
 }
 
 
@@ -124,6 +127,12 @@ BAD_SIZES = {
 def test_rejects_bools_and_negative_sizes(call):
     with pytest.raises(PartitionError):
         call()
+
+
+def test_run_checks_takes_a_negative_seed():
+    lines = []
+    assert run_checks(max_n=2, trials=1, seed=-5, out=lines.append)
+    assert lines[-1].endswith("checks passed")
 
 
 def test_rejects_bad_arguments():

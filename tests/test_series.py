@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from purecross import Series, render_text, solve_fixpoint
 from purecross.series import _exact
 
-from oracles import catalan, lagrange_reversion
+from oracles import _mul_trunc, _recip_trunc, catalan, compose_trunc, lagrange_reversion
 
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -82,6 +82,16 @@ class TestConstruction:
             with pytest.raises(ValueError, match=message):
                 Series([text])
 
+    def test_only_numbers_with_exponents_get_the_exponent_message(self):
+        # Text Fraction would read with an exponent is refused before it
+        # runs; text that is no number gets Fraction's own error.
+        for text in ("one", "e", "abc e"):
+            with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+                Series([text])
+        for text in ("1e5", " -2.5E-3 ", "1_0e2", "1e999999999"):
+            with pytest.raises(ValueError, match="uses exponent notation"):
+                Series([text])
+
     def test_accepts_strings_and_fractions(self):
         f = Series(["1/2", Fraction(1, 3), 2])
         assert f.coeffs == (Fraction(1, 2), Fraction(1, 3), 2)
@@ -136,6 +146,47 @@ class TestArithmetic:
         assert (f * (g + h)) == (f * g + f * h)
         assert (f + Series.zero(f.order)) == f
         assert (f * Series.one(f.order)) == f
+
+
+def seeded_rows(seed, order, count=8):
+    """Rational rows through x^order with mixed signs, zeros and
+    denominators; the constant terms cycle through -2, 3/4, 1 and -5/7,
+    so the integer scaling takes out a sign and a non-unit constant."""
+    rnd = random.Random(seed)
+    leads = [Fraction(-2), Fraction(3, 4), Fraction(1), Fraction(-5, 7)]
+    return [
+        [leads[i % 4]] + [Fraction(rnd.randint(-9, 9), rnd.randint(1, 12)) for _ in range(order)]
+        for i in range(count)
+    ]
+
+
+class TestAgainstOracles:
+    """The integer kernels against the schoolbook Fraction loops."""
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 30])
+    def test_product(self, order):
+        rows = seeded_rows(order, order)
+        for a, b in zip(rows, rows[1:] + rows[:1]):
+            assert list((Series(a) * Series(b)).coeffs) == _mul_trunc(a, b, order)
+            cut = order // 2
+            got = Series(a) * Series(b[: cut + 1])
+            assert got.order == cut
+            assert list(got.coeffs) == _mul_trunc(a, b, cut)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 30])
+    def test_inverse(self, order):
+        for a in seeded_rows(100 + order, order):
+            assert list(Series(a).inverse().coeffs) == _recip_trunc(a, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 20])
+    def test_compose(self, order):
+        rows = seeded_rows(200 + order, order)
+        for i, (outer, tail) in enumerate(zip(rows, rows[1:] + rows[:1])):
+            inner = [Fraction(0)] + tail[1:]
+            if i % 2 and order > 1:
+                inner[1] = Fraction(0)  # an inner series that starts at x^2
+            got = Series(outer).compose(Series(inner))
+            assert list(got.coeffs) == compose_trunc(outer, inner, order)
 
 
 class TestBookkeeping:

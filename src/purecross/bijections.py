@@ -361,7 +361,14 @@ def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
     return tuple(keys), not any(root)
 
 
+def _check_weights(w) -> None:
+    """Raise TypeError unless ``w`` is a :class:`WeightAssignment`."""
+    if not isinstance(w, WeightAssignment):
+        raise TypeError(f"weights come as a WeightAssignment, not {type(w).__name__}")
+
+
 def _product(keys, w):
+    _check_weights(w)
     if not keys:
         return _ONE
     scale = w._scale

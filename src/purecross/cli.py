@@ -155,7 +155,7 @@ def _cmd_series(args) -> int:
     coeffs = [0] + [row[1] for row in counts_table(order).rows]
     for n, weight in reaching:
         coeffs[n] += weight - 1
-    a = Series(coeffs, order=order)
+    a = Series(coeffs)
     # B, C and D come from the forward pass, which A does not need.
     chosen = a if args.which == "A" else forward_weighted(a)["BCD".index(args.which)]
     if args.format == "json":

@@ -240,6 +240,8 @@ class Partition:
         >>> Partition.parse("1,3|2,4").blocks
         ((1, 3), (2, 4))
         """
+        if not isinstance(text, str):
+            raise TypeError(f"partition text must be a str, not {type(text).__name__}")
         if not text.strip():
             return cls.empty()
         if _GRAMMAR.fullmatch(text):

@@ -27,7 +27,7 @@ from itertools import accumulate
 from math import comb
 from operator import add
 
-from .bijections import WeightAssignment, _keys_from_roots
+from .bijections import WeightAssignment, _check_weights, _keys_from_roots
 from .enumeration import _iter_rgs_no_singletons
 from .partition import _integer, _rgs_roots
 from .series import Series, _integral, _monic, _mul, solve_fixpoint
@@ -47,7 +47,7 @@ def bell_series(order: int) -> Series:
             nxt.append(nxt[-1] + v)
         row = nxt
         bells.append(row[0])
-    return Series(bells, order=order)
+    return Series(bells)
 
 
 def _binomial(s: Series, sign: int) -> Series:
@@ -67,7 +67,7 @@ def _binomial(s: Series, sign: int) -> Series:
         r = [v, *accumulate(r)]
     if sign < 0:
         r[1::2] = [-v for v in r[1::2]]
-    return Series([Fraction(v, den) for v in r], order=s.order)
+    return Series([Fraction(v, den) for v in r])
 
 
 def derive_c_from_d(d: Series) -> Series:
@@ -95,7 +95,7 @@ def derive_c_from_d(d: Series) -> Series:
         out.append(Fraction(ck, scale**k))
         acc[k + 1 :] = [a + ck * v for a, v in zip(acc[k + 1 :], p[1:])]
         p = _mul(p, dt, m - k)
-    return Series(out, order=m)
+    return Series(out)
 
 
 def derive_b_from_c(c: Series) -> Series:
@@ -115,7 +115,7 @@ def derive_a_from_b(b: Series) -> Series:
     a = [_ZERO, _ZERO]
     for n in range(2, b.order + 1):
         a.append(b.coeffs[n] - a[-1])
-    return Series(a, order=b.order)
+    return Series(a)
 
 
 def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
@@ -124,11 +124,10 @@ def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
     the mirror of :func:`derive_a_from_b`, O(m)."""
     if a[0] != 0:
         raise ValueError("constant term must be 0")
-    order = a.order
-    if order < 1:
+    if a.order < 1:
         raise ValueError("need order >= 1")
     coeffs = a.coeffs
-    b = Series([_ZERO, coeffs[1] + 1, *map(add, coeffs[2:], coeffs[1:])], order=order)
+    b = Series([_ZERO, coeffs[1] + 1, *map(add, coeffs[2:], coeffs[1:])])
     c = _binomial(b, 1)
     d = solve_fixpoint(c)
     return b, c, d
@@ -206,6 +205,7 @@ def weighted_brute_coeffs(
     The rows of length m < n add to D alone; one pass over the rows of
     length n gives A, B, C and the last term of D."""
     _integer(n, "n", 1)
+    _check_weights(w)
     scale = w._scale
     weight = w._scaled.get  # keys and table are both rgs tuples
     depth = n // 4

@@ -1,10 +1,12 @@
 """Truncated formal power series with exact rational coefficients.
 
-A :class:`Series` holds coefficients c0 .. c_order as ``Fraction``s; no
-floating point or bool is accepted anywhere, nor a string in exponent
-notation or with a zero denominator.  Binary operations
-truncate to the smaller operand order and record it on the result;
-nothing ever extends an order.
+A :class:`Series` stores its coefficients c0 .. c_order as a tuple of
+``Fraction``s and nothing else: its order is the length of that tuple
+less one, and it is immutable.  No floating point or bool is accepted
+anywhere, nor a string in exponent notation or with a zero denominator.
+Binary operations truncate to the smaller operand order, which the
+length of the result's coefficients then carries; nothing ever extends
+an order.
 
 >>> f = Series.x(5) + Series([0, 0, 1], order=5)
 >>> f.reversion().coeffs
@@ -12,9 +14,12 @@ nothing ever extends an order.
 """
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from .partition import _integer
 
 _ZERO = Fraction(0)
 # Text that Fraction reads as a decimal with an exponent: its grammar
@@ -39,24 +44,44 @@ def _to_fraction(value, name="coefficient") -> Fraction:
 
 
 class Series:
-    """A power series known through ``x**order``, coefficients exact."""
+    """A power series known through ``x**order``, coefficients exact.
 
-    __slots__ = ("order", "coeffs")
+    ``coeffs`` is the one field; ``order`` is read off its length.  The
+    ``order`` argument pads the given coefficients with zeros through
+    ``x**order``; it goes through the package's one integer check.  No
+    attribute can be set or deleted once the slot is filled.
+    """
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, order=None):
+        if isinstance(coeffs, (str, bytes, bytearray, Mapping)):
+            raise TypeError(f"series coefficients come as a sequence, not {type(coeffs).__name__}")
         # A Fraction is immutable, so one given is kept rather than copied.
         vals = [c if type(c) is Fraction else _to_fraction(c) for c in coeffs]
-        if order is None:
-            if not vals:
-                raise ValueError("need coefficients or an explicit order")
-            order = len(vals) - 1
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise ValueError(f"order must be a nonnegative integer, got {order!r}")
-        if len(vals) > order + 1:
-            raise ValueError(f"{len(vals)} coefficients exceed order {order}")
-        vals.extend([_ZERO] * (order + 1 - len(vals)))
-        self.order = order
-        self.coeffs = tuple(vals)
+        if order is not None:
+            _integer(order, "order", 0)
+            if len(vals) > order + 1:
+                raise ValueError(f"{len(vals)} coefficients exceed order {order}")
+            vals.extend([_ZERO] * (order + 1 - len(vals)))
+        elif not vals:
+            raise ValueError("need coefficients or an explicit order")
+        _set_coeffs(self, tuple(vals))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Series is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Series is immutable")
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through the checked constructor.
+        return Series, (self.coeffs,)
+
+    @property
+    def order(self) -> int:
+        """The highest power known: the number of coefficients less one."""
+        return len(self.coeffs) - 1
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -68,9 +93,7 @@ class Series:
 
     @classmethod
     def x(cls, order: int) -> "Series":
-        if order < 1:
-            raise ValueError("Series.x needs order >= 1")
-        return cls([0, 1], order=order)
+        return cls([0, 1], order=_integer(order, "order", 1))
 
     def __getitem__(self, k: int) -> Fraction:
         if type(k) is not int:  # a bool is no index, nor a float
@@ -82,7 +105,7 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs  # equal tuples have equal orders
 
     def __repr__(self) -> str:
         return f"Series({[str(c) for c in self.coeffs]}, order={self.order})"
@@ -90,18 +113,15 @@ class Series:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Series":
-        if isinstance(other, Series):
-            m = min(self.order, other.order)
-            return Series(
-                [a + b for a, b in zip(self.coeffs, other.coeffs)][: m + 1], order=m
-            )
+        if isinstance(other, Series):  # zip stops at the smaller order
+            return Series([a + b for a, b in zip(self.coeffs, other.coeffs)])
         scalar = _to_fraction(other)
-        return Series((self.coeffs[0] + scalar,) + self.coeffs[1:], order=self.order)
+        return Series((self.coeffs[0] + scalar,) + self.coeffs[1:])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs], order=self.order)
+        return Series([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Series":
         return self + (-other if isinstance(other, Series) else -_to_fraction(other))
@@ -115,9 +135,9 @@ class Series:
             a, a_den = _integral(self.coeffs[: m + 1])
             b, b_den = _integral(other.coeffs[: m + 1])
             den = a_den * b_den
-            return Series([Fraction(v, den) for v in _mul(a, b, m + 1)], order=m)
+            return Series([Fraction(v, den) for v in _mul(a, b, m + 1)])
         scalar = _to_fraction(other)
-        return Series([scalar * c for c in self.coeffs], order=self.order)
+        return Series([scalar * c for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -126,9 +146,9 @@ class Series:
     def truncate(self, order: int) -> "Series":
         """Forget coefficients beyond ``order`` (which must not exceed the
         current order)."""
-        if order > self.order:
+        if _integer(order, "order", 0) > self.order:
             raise ValueError(f"cannot truncate order {self.order} up to {order}")
-        return Series(self.coeffs[: order + 1], order=order)
+        return Series(self.coeffs[: order + 1])
 
     def shift_down(self) -> "Series":
         """Divide by x; requires a zero constant term, order drops by one."""
@@ -136,7 +156,7 @@ class Series:
             raise ValueError("cannot shift down with a nonzero constant term")
         if self.order < 1:
             raise ValueError("cannot shift down an order-0 series")
-        return Series(self.coeffs[1:], order=self.order - 1)
+        return Series(self.coeffs[1:])
 
     # -- composition and inverses -------------------------------------
 
@@ -163,7 +183,7 @@ class Series:
             r = _mul(r, g, m + 1)
             r[0] = f[k] * scale
         den = f_den * scale
-        return Series([Fraction(v, den) for v in r], order=m)
+        return Series([Fraction(v, den) for v in r])
 
     def inverse(self) -> "Series":
         """Reciprocal series 1 / self; needs an invertible constant term.
@@ -176,7 +196,7 @@ class Series:
             raise ValueError("cannot invert a series with zero constant term")
         f, scale, a = _monic(self.coeffs)
         p = _power(f, -1, self.order + 1)
-        return Series([Fraction(v, scale**k) / a for k, v in enumerate(p)], order=self.order)
+        return Series([Fraction(v, scale**k) / a for k, v in enumerate(p)])
 
     def reversion(self) -> "Series":
         """Compositional inverse g with self(g) = g(self) = x.
@@ -190,7 +210,10 @@ class Series:
             raise ValueError("reversion needs a zero constant term")
         if self.order < 1 or c[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
-        return Series([_ZERO] + _lagrange(self.shift_down(), self.order, -1), order=self.order)
+        return Series([_ZERO] + _lagrange(self.shift_down(), self.order, -1))
+
+
+_set_coeffs = Series.coeffs.__set__
 
 
 def _integral(coeffs) -> tuple[list, int]:
@@ -266,7 +289,7 @@ def solve_fixpoint(c: Series) -> Series:
         raise TypeError("solve_fixpoint expects a Series")
     if c.coeffs[0] != 0:
         raise ValueError("the composed series must have zero constant term")
-    return Series(_lagrange(c + 1, c.order + 1, 1), order=c.order)
+    return Series(_lagrange(c + 1, c.order + 1, 1))
 
 
 def render_text(f: Series) -> str:

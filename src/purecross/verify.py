@@ -56,7 +56,7 @@ def _random_series(rnd, order):
     coeffs = [0, 1] + [
         Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(order - 1)
     ]
-    return Series(coeffs, order=order)
+    return Series(coeffs)
 
 
 def check_splits_complement(ctx):
@@ -239,7 +239,7 @@ def check_weighted_series_identities(ctx):
     for _ in range(ctx.trials):
         w = _random_weights(rnd, max_support=min(depth, 8))
         brute = [weighted_brute_coeffs(n, w) for n in range(1, depth + 1)]
-        a = Series([0] + [v[0] for v in brute], order=depth)
+        a = Series([0] + [v[0] for v in brute])
         b, c, d = forward_weighted(a)
         for n in range(1, depth + 1):
             if (b[n], c[n], d[n]) != brute[n - 1][1:]:

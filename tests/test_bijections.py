@@ -29,6 +29,7 @@ from purecross import (
     partition_weight,
     pc_plus_decompose,
     pc_plus_weight,
+    weighted_brute_coeffs,
 )
 from purecross import bijections
 from purecross.enumeration import _iter_rgs_plain
@@ -415,6 +416,22 @@ class TestWeights:
         for pi in (Partition.singletons(2), Partition.empty()):
             with pytest.raises(ValueError):
                 connected_weight(pi, w)
+
+    @pytest.mark.parametrize("w", [None, {}, {"1,3|2,4": 2}], ids=["None", "empty dict", "dict"])
+    def test_weight_readers_refuse_what_is_not_an_assignment(self, w):
+        # Keyless partitions too: no weight is read, yet w is still wrong.
+        for weight, pi in (
+            (partition_weight, Partition.parse("1|2")),
+            (partition_weight, Partition.parse("1,3|2,4|5")),
+            (connected_weight, Partition.whole(2)),
+            (connected_weight, Partition.parse("1,2,4|3,5")),
+            (pc_plus_weight, Partition.whole(1)),
+            (pc_plus_weight, Partition.parse("1,3|2,4")),
+        ):
+            with pytest.raises(TypeError, match=f"not {type(w).__name__}$"):
+                weight(pi, w)
+        with pytest.raises(TypeError, match=f"WeightAssignment, not {type(w).__name__}$"):
+            weighted_brute_coeffs(3, w)
 
     def test_weights_raise_exactly_outside_their_families(self):
         # The empty partition belongs to no family, though it is vacuously

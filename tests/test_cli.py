@@ -266,6 +266,68 @@ class TestSeries:
         assert invoke(capsys, "series", "--which", "A", "--order", "0")[0] == 2
 
 
+def _zero_forward(monkeypatch):
+    # B, C and D all zero: b_1 is 1 by brute sum and in the Bell chain.
+    monkeypatch.setattr(verify_module, "forward_weighted", lambda a: (Series.zero(a.order),) * 3)
+
+
+def _one_fixpoint(monkeypatch):
+    monkeypatch.setattr(verify_module, "solve_fixpoint", lambda c: Series.one(c.order))
+
+
+def _identity_reversion(monkeypatch):
+    monkeypatch.setattr(Series, "reversion", lambda f: f)
+
+
+def _left_product(monkeypatch):
+    # f * g = f: neither commutative nor distributive.
+    monkeypatch.setattr(Series, "__mul__", lambda f, g: f)
+
+
+def _derived_product(monkeypatch):
+    # The derivative of f * g: bilinear and commutative, not associative.
+    true_mul = Series.__mul__
+
+    def mul(f, g):
+        return Series([k * c for k, c in enumerate(true_mul(f, g).coeffs)][1:])
+
+    monkeypatch.setattr(Series, "__mul__", mul)
+
+
+def _skewed_compose(monkeypatch):
+    # f(g) + g, which is not associative.
+    true_compose = Series.compose
+    monkeypatch.setattr(Series, "compose", lambda f, g: true_compose(f, g) + g)
+
+
+# The first series check_reversion draws at seed 0, which a reversion
+# that returns its input fails on.
+_FIRST_REVERSED = verify_module._random_series(random.Random(2), 30)
+
+# (check name, a wrong series function, the exact message it gets).
+SERIES_FAILURES = [
+    (
+        "weighted series identities match brute sums",
+        _zero_forward,
+        "weighted series mismatch at n=1",
+    ),
+    ("reversion composes to identity", _identity_reversion, f"reversion failed for {_FIRST_REVERSED!r}"),
+    ("series ring and composition laws", _left_product, "ring law violation"),
+    ("series ring and composition laws", _derived_product, "associativity violation"),
+    ("series ring and composition laws", _skewed_compose, "composition associativity violation"),
+    (
+        "series pipelines mutually inverse, table cross-checked",
+        _zero_forward,
+        "backward then forward does not reproduce the Bell chain",
+    ),
+    (
+        "series pipelines mutually inverse, table cross-checked",
+        _one_fixpoint,
+        "fixpoint solution disagrees with the Bell series",
+    ),
+]
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, _ = invoke(
@@ -279,6 +341,17 @@ class TestVerify:
         monkeypatch.setattr("purecross.verify.run_checks", lambda **kw: False)
         assert run(["verify"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name, prepare, message", SERIES_FAILURES, ids=[f.__name__ for _, f, _ in SERIES_FAILURES]
+    )
+    def test_series_checks_report_a_wrong_series(self, capsys, monkeypatch, name, prepare, message):
+        prepare(monkeypatch)
+        check = dict(verify_module.CHECKS)[name]
+        assert check(verify_module.VerifyContext(max_n=4, trials=1)) == message
+        code, out, _ = invoke(capsys, "verify", "--max-n", "4", "--weighted-trials", "1")
+        assert code == 1
+        assert f"FAIL {name}: {message}" in out.splitlines()
 
     def test_table_check_reports_a_miscount(self, monkeypatch):
         _miscount(monkeypatch)

@@ -14,6 +14,7 @@ from purecross import (
     Partition,
     PartitionClass,
     PartitionError,
+    Series,
     WeightAssignment,
     bell_series,
     count,
@@ -112,6 +113,12 @@ BAD_SIZES = {
     "bell_series(2.5)": lambda: bell_series(2.5),
     'bell_series("3")': lambda: bell_series("3"),
     "Composition((True,))": lambda: Composition((True,)),
+    # A series' order, given to pad, through the same check.
+    "Series(order=IntEnum 4)": lambda: Series([1, 2], order=_Size.FOUR),
+    "Series(order=True)": lambda: Series([1, 2], order=True),
+    "Series(order=2.5)": lambda: Series([1, 2], order=2.5),
+    "Series(order=-1)": lambda: Series([1], order=-1),
+    "Series.x(True)": lambda: Series.x(True),
     # Each must raise before a single check runs, or prints a line.
     "run_checks(max_n=0, trials=0)": lambda: run_checks(
         max_n=0, trials=0, out=_no_check_may_run

@@ -222,6 +222,11 @@ class TestTextForms:
         assert Partition.parse(" 2 , 4 | 1 , 3 ") == Partition(4, [[1, 3], [2, 4]])
         assert Partition.parse("") == Partition.empty()
 
+    @pytest.mark.parametrize("text", [5, None, b"1,3|2,4"], ids=["int", "None", "bytes"])
+    def test_parse_takes_only_text(self, text):
+        with pytest.raises(TypeError, match="partition text must be a str"):
+            Partition.parse(text)
+
     def test_parse_error_positions(self):
         with pytest.raises(ParseError) as info:
             Partition.parse("1,3|2,x")

@@ -1,15 +1,23 @@
 """Exact truncated power series: arithmetic, composition, inverses."""
 
+import copy
+import pickle
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from purecross import Series, render_text, solve_fixpoint
+from purecross import PartitionError, Series, render_text, solve_fixpoint
 from purecross.series import _exact
 
 from oracles import _mul_trunc, _recip_trunc, catalan, compose_trunc, lagrange_reversion
+
+
+class _Order(IntEnum):
+    FOUR = 4
+
 
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -70,6 +78,49 @@ class TestConstruction:
             Series([], )
         with pytest.raises(ValueError):
             Series([1], order=-1)
+
+    @pytest.mark.parametrize(
+        "coeffs", ["123", b"12", bytearray(b"12"), {1: 5, 0: 2}], ids=["str", "bytes", "bytearray", "dict"]
+    )
+    def test_rejects_text_bytes_and_mappings(self, coeffs):
+        # Each iterates to something that would read as coefficients:
+        # digits, byte values or a mapping's keys.
+        with pytest.raises(TypeError, match="series coefficients come as a sequence"):
+            Series(coeffs)
+
+    def test_order_is_read_off_the_coefficients(self):
+        assert Series.__slots__ == ("coeffs",)
+        for f in (Series([1, 2], order=4), Series([7]), Series.zero(0), Series.x(3)):
+            assert type(f.order) is int and f.order == len(f.coeffs) - 1
+
+    def test_order_goes_through_the_integer_check(self):
+        for bad in (_Order.FOUR, True, 2.5, -1, "3"):
+            with pytest.raises(PartitionError, match="order"):
+                Series([1, 2], order=bad)
+            with pytest.raises(PartitionError, match="order"):
+                Series.x(bad)
+            with pytest.raises(PartitionError, match="order"):
+                Series([1, 2, 3, 4, 5]).truncate(bad)
+        with pytest.raises(PartitionError, match="order 0 out of range 1.."):
+            Series.x(0)
+
+    def test_is_immutable(self):
+        f = Series([1, 2, 3])
+        for change in (
+            lambda: setattr(f, "order", 7),
+            lambda: setattr(f, "coeffs", (Fraction(1),)),
+            lambda: delattr(f, "coeffs"),
+            lambda: delattr(f, "order"),
+            lambda: setattr(f, "extra", 1),
+        ):
+            with pytest.raises(AttributeError, match="immutable"):
+                change()
+        assert f.order == 2 and f[2] == 3
+
+    def test_pickle_and_copy_round_trip(self):
+        for f in (Series([1, "1/2", -3], order=5), Series.zero(0)):
+            for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+                assert clone == f and clone.order == f.order and clone is not f
 
     def test_rejects_exponents_and_zero_denominators(self):
         # The rule weights follow: Fraction would build 10^200000 for the

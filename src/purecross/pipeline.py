@@ -12,11 +12,12 @@ decompositions in :mod:`purecross.bijections` force
 
 The forward direction turns a weight series A into B, C, D.  The
 backward direction starts from the Bell-number series D of unweighted
-counts and recovers C, B, A exactly; :func:`counts_table` tabulates the
-four integer columns that fall out, and ``verify`` checks the leading
-rows against brute-force enumeration.  At order m every step runs on
-Python ints, where every division is exact; rational input is scaled to
-integers first and divided back once per coefficient.
+counts and recovers C, B, A exactly, and ``verify`` checks the leading
+rows against brute-force enumeration.  Each step is one kernel on a row
+of Python ints, where every division is exact; the public functions
+scale rational input to integers, call it, and divide back once per
+coefficient.  :func:`counts_table` chains the kernels on the Bell row,
+Bell -> C -> B -> A, on integer rows with no ``Fraction`` between steps.
 """
 
 from collections import Counter, defaultdict
@@ -35,67 +36,74 @@ from .series import Series, _integral, _monic, _mul, solve_fixpoint
 _ZERO = Fraction(0)
 
 
+def _bell_row(order: int) -> list:
+    """B_0 .. B_order by the Bell triangle: each row starts with the last
+    entry of the one before, then adds that row's entries in turn."""
+    bells, row = [1], [1]
+    for _ in range(order):
+        row = list(accumulate(row, initial=row[-1]))
+        bells.append(row[0])
+    return bells
+
+
 def bell_series(order: int) -> Series:
     """1 + x + 2 x^2 + 5 x^3 + ...: sizes of the full partition lattices,
     by the Bell triangle recurrence."""
-    _integer(order, "order", 0)
-    bells = [1]
-    row = [1]
-    for _ in range(order):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-        bells.append(row[0])
-    return Series(bells)
+    return Series(_bell_row(_integer(order, "order", 0)))
 
 
-def _binomial(s: Series, sign: int) -> Series:
-    """s(x / (1 - sign x)) by Horner's rule in y = x / (1 - x),
-    r <- s_k + y r for k = m .. 0.  Multiplying by y is a shift and a
-    running sum, and at step k only the terms through x^(m - k) reach
-    the result: O(m^2) additions, no products.  For sign -1, substituting
-    t = -x turns s(x / (1 + x)) into s(-y) at t, so the odd coefficients
-    change sign on the way in and on the way out.  The sums run on the
-    ints den * s_k, den the lcm of the denominators, and each is divided
-    by den once."""
-    z, den = _integral(s.coeffs)
+def _binomial_row(z: list, sign: int) -> list:
+    """z(x / (1 - sign x)) for an integer row z, by Horner's rule in
+    y = x / (1 - x), r <- z_k + y r for k = m .. 0.  Multiplying by y is
+    a shift and a running sum, and at step k only the terms through
+    x^(m - k) reach the result: O(m^2) additions, no products.  For
+    sign -1, substituting t = -x turns z(x / (1 + x)) into z(-y) at t, so
+    the odd coefficients change sign on the way in and on the way out."""
     if sign < 0:
-        z[1::2] = [-v for v in z[1::2]]
+        z = [-v if k % 2 else v for k, v in enumerate(z)]
     r = []
     for v in reversed(z):
         r = [v, *accumulate(r)]
     if sign < 0:
         r[1::2] = [-v for v in r[1::2]]
-    return Series([Fraction(v, den) for v in r])
+    return r
+
+
+def _binomial(s: Series, sign: int) -> Series:
+    """s(x / (1 - sign x)) from den * s, den the lcm of its denominators."""
+    z, den = _integral(s.coeffs)
+    return Series([Fraction(v, den) for v in _binomial_row(z, sign)])
+
+
+def _gap_row(d: list) -> list:
+    """c_0 .. c_m with D = 1 + C(x D), for an integer row d_0 .. d_m with
+    d_0 = 1.  As d_n = sum_{k=1..n} c_k [x^(n-k)] D^k and the k = n term
+    is c_n, c_n = d_n - sum_{k<n} c_k [x^(n-k)] D^k: one power row D^k,
+    cut to degree m - k and multiplied by D once per k (a :func:`_mul`),
+    and one accumulator row of the sums; about m^3 / 6 products."""
+    m = len(d) - 1
+    acc = [0] * (m + 1)
+    p = d[:m]  # D^k through x^(m-k), for k = 1
+    out = [0]
+    for k in range(1, m + 1):
+        ck = d[k] - acc[k]
+        out.append(ck)
+        acc[k + 1 :] = [a + ck * v for a, v in zip(acc[k + 1 :], p[1:])]
+        p = _mul(p, d, m - k)
+    return out
 
 
 def derive_c_from_d(d: Series) -> Series:
-    """Invert the gap relation D = 1 + C(x D) by undetermined
-    coefficients.  Since d_n = sum_{k=1..n} c_k [x^(n-k)] D^k and the
-    k = n term is c_n itself, c_n = d_n - sum_{k<n} c_k [x^(n-k)] D^k.
-    One power row p = D^k, cut to degree m - k, is multiplied by D once
-    per k, and one accumulator row collects the sums: about m^3 / 6
-    products at order m.  With L the lcm of the denominators of d,
-    D(L x) from :func:`series._monic` is integral with constant term 1
-    and satisfies the same relation with C(L x), so the loop runs on ints
-    without a division, each power row one :func:`series._mul`, and c_n
-    is its result over L^n.  The result has order d.order - 1."""
+    """Invert the gap relation D = 1 + C(x D), order d.order - 1.  With L
+    the lcm of the denominators of d, D(L x) (:func:`series._monic`) is
+    integral and solves it with C(L x): c_n is entry n of its
+    :func:`_gap_row` over L^n."""
     if d.order < 1:
         raise ValueError("need order >= 1")
     if d[0] != 1:
         raise ValueError("constant term must be 1")
-    m = d.order - 1
-    dt, scale, _ = _monic(d.coeffs[: m + 1])  # d_k L^k
-    acc = [0] * (m + 1)
-    p = dt[:m]  # D(L x)^k through x^(m-k), for k = 1
-    out = [_ZERO]
-    for k in range(1, m + 1):
-        ck = dt[k] - acc[k]
-        out.append(Fraction(ck, scale**k))
-        acc[k + 1 :] = [a + ck * v for a, v in zip(acc[k + 1 :], p[1:])]
-        p = _mul(p, dt, m - k)
-    return Series(out)
+    dt, scale, _ = _monic(d.coeffs[: d.order])  # d_k L^k
+    return Series([Fraction(v, scale**k) for k, v in enumerate(_gap_row(dt))])
 
 
 def derive_b_from_c(c: Series) -> Series:
@@ -105,17 +113,22 @@ def derive_b_from_c(c: Series) -> Series:
     return _binomial(c, -1)
 
 
+def _difference_row(b) -> list:
+    """A = (B - x) / (1 + x): a_n = b_n - [n = 1] - a_(n-1), for b of two
+    terms at least.  It divides nothing, so it takes ints or Fractions."""
+    a = [b[0], b[1] - 1 - b[0]]
+    for v in b[2:]:
+        a.append(v - a[-1])
+    return a
+
+
 def derive_a_from_b(b: Series) -> Series:
-    """Invert the adjoining relation: A = (B - x) / (1 + x), that is
-    a_n = b_n - [n = 1] - a_(n-1), O(m)."""
+    """Invert the adjoining relation: A = (B - x) / (1 + x)."""
     if b.order < 1 or b[1] != 1:
         raise ValueError("linear coefficient must be 1")
     if b[0] != 0:
         raise ValueError("constant term must be 0")
-    a = [_ZERO, _ZERO]
-    for n in range(2, b.order + 1):
-        a.append(b.coeffs[n] - a[-1])
-    return Series(a)
+    return Series(_difference_row(b.coeffs))
 
 
 def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
@@ -244,10 +257,8 @@ class CountsTable:
     def row(self, n: int) -> tuple[int, int, int, int, int]:
         """The row for size n; KeyError unless n is an int (not a bool)
         with a row."""
-        if type(n) is int:
-            for r in self.rows:
-                if r[0] == n:
-                    return r
+        if type(n) is int and 1 <= n <= len(self.rows):
+            return self.rows[n - 1]
         raise KeyError(n)
 
     def to_tsv(self) -> str:
@@ -262,25 +273,18 @@ class CountsTable:
         ]
 
 
-def _as_int(q: Fraction) -> int:
-    if q.denominator != 1:
-        raise RuntimeError(f"count coefficient {q} is not an integer")
-    return int(q)
-
-
 def counts_table(max_n: int) -> CountsTable:
     """Tabulate the four family sizes for n = 1 .. max_n via the backward
-    series pipeline, enumerating nothing.  A coefficient that is not an
-    integer raises RuntimeError: it would mean the series identities
-    contradict themselves."""
+    kernels, enumerating nothing: the Bell row is integral with d_0 = 1,
+    so L = 1 and each kernel takes the row before it as it stands.  An
+    entry that is not an int raises RuntimeError: it would mean the
+    series identities contradict themselves."""
     _integer(max_n, "max_n", 1)
-    d = bell_series(max_n + 1)
-    c = derive_c_from_d(d)
-    b = derive_b_from_c(c)
-    a = derive_a_from_b(b)
-    a, b, c, d = (s.coeffs for s in (a, b, c, d))  # tuples, indexed without a call
-    rows = tuple(
-        (n, _as_int(a[n]), _as_int(b[n]), _as_int(c[n]), _as_int(d[n]))
-        for n in range(1, max_n + 1)
-    )
-    return CountsTable(rows)
+    d = _bell_row(max_n)
+    c = _gap_row(d)
+    b = _binomial_row(c, -1)
+    a = _difference_row(b)
+    for v in (*a, *b, *c, *d):
+        if type(v) is not int:
+            raise RuntimeError(f"count coefficient {v} is not an integer")
+    return CountsTable(tuple(zip(range(1, max_n + 1), a[1:], b[1:], c[1:], d[1:])))

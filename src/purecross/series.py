@@ -14,7 +14,7 @@ an order.
 """
 
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -55,7 +55,9 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, order=None):
-        if isinstance(coeffs, (str, bytes, bytearray, Mapping)):
+        # Text and buffers iterate to characters or byte values, mappings
+        # to keys, sets in an order of their own.
+        if isinstance(coeffs, (str, bytes, bytearray, memoryview, Mapping, Set)):
             raise TypeError(f"series coefficients come as a sequence, not {type(coeffs).__name__}")
         # A Fraction is immutable, so one given is kept rather than copied.
         vals = [c if type(c) is Fraction else _to_fraction(c) for c in coeffs]

@@ -31,6 +31,7 @@ from purecross import (
 from purecross import pipeline
 from purecross.bijections import _weight_keys
 from purecross.enumeration import _iter_rgs_no_singletons, _iter_rgs_plain
+from purecross.series import _monic
 
 from oracles import PUBLISHED_COUNTS, bell_brute, catalan
 
@@ -138,8 +139,11 @@ class TestBackwardPipeline:
 
     def test_fixpoint_undoes_step_c(self):
         # Step C solves the gap relation term by term and solve_fixpoint
-        # runs the Lagrange kernel, so the two check each other.
-        for d in [bell_series(101), self._STAGGERED_D] + self._seeded_rational_d():
+        # runs the Lagrange kernel, so the two check each other.  Each
+        # rational d puts step C's integer row at D(L x) with L > 1.
+        rational = [self._STAGGERED_D] + self._seeded_rational_d()
+        assert all(_monic(d.coeffs)[1] > 1 for d in rational)
+        for d in [bell_series(101)] + rational:
             c = derive_c_from_d(d)
             assert solve_fixpoint(c) == d.truncate(c.order)
 
@@ -406,9 +410,21 @@ class TestCountsTable:
         assert table.row(2) == (2, 0, 0, 1, 2)
         # True == 1.0 == 1, but neither is a size: row matches exactly an
         # int, as every size check of the package does.
-        for n in (True, 1.0, 0, 4, 9):
+        for n in (True, 1.0, "1", 0, -1, 4, 9):
             with pytest.raises(KeyError):
                 table.row(n)
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 40, 120])
+    def test_agrees_with_the_public_chain(self, max_n):
+        # counts_table chains the integer kernels; the public functions
+        # wrap the same kernels in Series.
+        d = bell_series(max_n + 1)
+        c = derive_c_from_d(d)
+        b = derive_b_from_c(c)
+        a = derive_a_from_b(b)
+        rows = counts_table(max_n).rows
+        assert rows == tuple((n, a[n], b[n], c[n], d[n]) for n in range(1, max_n + 1))
+        assert all(type(v) is int for row in rows for v in row)
 
     def test_tsv_shape(self):
         text = counts_table(2).to_tsv()

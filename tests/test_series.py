@@ -88,6 +88,25 @@ class TestConstruction:
         with pytest.raises(TypeError, match="series coefficients come as a sequence"):
             Series(coeffs)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{3, 1, 2}, frozenset(), memoryview(b"12"), {1: 5, 0: 2}.keys()],
+        ids=["set", "frozenset", "memoryview", "keys"],
+    )
+    def test_rejects_unordered_collections_and_buffers(self, coeffs):
+        # A set iterates in its own order, not the caller's, and a buffer
+        # iterates to byte values.
+        with pytest.raises(TypeError, match="series coefficients come as a sequence"):
+            Series(coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1, 2, 3], (1, 2, 3), range(1, 4), (k for k in (1, 2, 3))],
+        ids=["list", "tuple", "range", "generator"],
+    )
+    def test_takes_ordered_iterables(self, coeffs):
+        assert Series(coeffs).coeffs == (1, 2, 3)
+
     def test_order_is_read_off_the_coefficients(self):
         assert Series.__slots__ == ("coeffs",)
         for f in (Series([1, 2], order=4), Series([7]), Series.zero(0), Series.x(3)):

@@ -25,12 +25,11 @@ weight of its contracted base; an arbitrary partition multiplies the
 weights of its cover pieces, the empty partition weighing 1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .partition import Partition, _integer, _rgs_roots
+from .partition import Partition, _integer, _Record, _rgs_roots
 from .series import _to_fraction
 
 _ONE = Fraction(1)
@@ -40,26 +39,25 @@ _ONE = Fraction(1)
 _KEYS_KEPT = 1 << 16
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Record):
     """An ordered tuple of positive interval lengths."""
 
-    parts: tuple[int, ...]
+    __slots__ = __match_args__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts):
+        parts = tuple(parts)
+        if not parts:
             raise ValueError("a composition needs at least one part")
-        for k in self.parts:
+        for k in parts:
             _integer(k, "composition part", 1)
+        self._fill(parts)
 
     @property
     def n(self) -> int:
         return sum(self.parts)
 
 
-@dataclass(frozen=True)
-class PcPlusCase:
+class PcPlusCase(_Record):
     """Outcome of :func:`pc_plus_decompose`.
 
     ``adjoined`` is False when the input is purely crossing itself (then
@@ -67,54 +65,54 @@ class PcPlusCase:
     crossing ``base`` by adjoining the last atom to the block of atom 1.
     """
 
-    adjoined: bool
-    base: Partition
+    __slots__ = __match_args__ = ("adjoined", "base")
+
+    def __init__(self, adjoined: bool, base: Partition):
+        self._fill(adjoined, base)
 
 
-@dataclass(frozen=True)
-class CoverDecomposition:
+class CoverDecomposition(_Record):
     """A noncrossing cover plus one connected piece per cover block, the
     piece sizes matching the block sizes."""
 
-    cover: Partition
-    pieces: tuple[Partition, ...]
+    __slots__ = __match_args__ = ("cover", "pieces")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not self.cover.is_noncrossing():
-            raise ValueError(f"cover {self.cover} is crossing")
-        blocks = self.cover.blocks
-        if len(self.pieces) != len(blocks):
-            raise ValueError(f"{len(self.pieces)} pieces for {len(blocks)} cover blocks")
-        for block, piece in zip(blocks, self.pieces):
+    def __init__(self, cover: Partition, pieces):
+        pieces = tuple(pieces)
+        if not cover.is_noncrossing():
+            raise ValueError(f"cover {cover} is crossing")
+        blocks = cover.blocks
+        if len(pieces) != len(blocks):
+            raise ValueError(f"{len(pieces)} pieces for {len(blocks)} cover blocks")
+        for block, piece in zip(blocks, pieces):
             if piece.n != len(block):
                 raise ValueError(
                     f"piece of size {piece.n} against cover block of size {len(block)}"
                 )
             if not piece.is_connected():
                 raise ValueError(f"piece {piece} is not connected")
+        self._fill(cover, pieces)
 
     @property
     def n(self) -> int:
         return self.cover.n
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+class GapDecomposition(_Record):
     """A connected core plus one (possibly empty) partition per core atom,
     filling the gap to the next core atom (the last gap runs to atom n)."""
 
-    core: Partition
-    gaps: tuple[Partition, ...]
+    __slots__ = __match_args__ = ("core", "gaps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gaps", tuple(self.gaps))
-        if self.core.n < 1:
+    def __init__(self, core: Partition, gaps):
+        gaps = tuple(gaps)
+        if core.n < 1:
             raise ValueError("core must have at least one atom")
-        if not self.core.is_connected():
-            raise ValueError(f"core {self.core} is not connected")
-        if len(self.gaps) != self.core.n:
-            raise ValueError(f"{len(self.gaps)} gaps for a core of {self.core.n} atoms")
+        if not core.is_connected():
+            raise ValueError(f"core {core} is not connected")
+        if len(gaps) != core.n:
+            raise ValueError(f"{len(gaps)} gaps for a core of {core.n} atoms")
+        self._fill(core, gaps)
 
     @property
     def n(self) -> int:

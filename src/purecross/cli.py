@@ -19,7 +19,6 @@ these limits.
 """
 
 import argparse
-import json
 import os
 import sys
 from math import lcm
@@ -90,6 +89,8 @@ def _cmd_classify(args) -> int:
         "purely_crossing": pi.is_purely_crossing(),
         "cover": str(pi.noncrossing_cover()),
     }
+    import json  # loaded only by the commands that write or read JSON
+
     print(json.dumps(obj))
     return 0
 
@@ -122,6 +123,8 @@ def _cmd_table(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
+        import json
+
         print(json.dumps(table.to_json()))
     else:
         print(table.to_tsv())
@@ -132,6 +135,8 @@ def _cmd_series(args) -> int:
     order = args.order
     reaching = []  # (n, weight) of each assigned partition with n <= order
     if args.weights is not None:
+        import json
+
         try:
             with open(args.weights, encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -159,6 +164,8 @@ def _cmd_series(args) -> int:
     # B, C and D come from the forward pass, which A does not need.
     chosen = a if args.which == "A" else forward_weighted(a)["BCD".index(args.which)]
     if args.format == "json":
+        import json
+
         print(json.dumps([str(v) for v in chosen.coeffs]))
     elif args.format == "tsv":
         for k, v in enumerate(chosen.coeffs):

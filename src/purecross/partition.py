@@ -63,6 +63,47 @@ def _integer(value, name: str, least=None, most=None) -> int:
     return value
 
 
+class _Record:
+    """Base of the package's read-only classes.  A record names its
+    fields in ``__slots__`` and ``__match_args__``, checks its arguments
+    in ``__init__`` and stores them with ``_fill``.  Records of one class
+    are equal when their fields are, hash as the tuple of their fields,
+    print as ``Name(field=value, ...)``, and pickle and copy through the
+    checked constructor.  No attribute of any subclass can be set or
+    deleted; ``Partition`` and ``Series`` define equality and repr (and
+    ``Partition`` its hash and pickling) their own way."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 def _relabel(values) -> tuple[int, ...]:
     """``values`` with each distinct value replaced by its rank in order
     of first appearance: a restricted-growth string."""
@@ -131,7 +172,7 @@ def _scan(text: str) -> list[list[int]]:
     raise ParseError("unexpected character", text, pos)
 
 
-class Partition:
+class Partition(_Record):
     """A set partition of {1, .., n}; immutable, hashable, totally ordered.
 
     Construct from blocks (any iterable of iterables), a restricted-growth
@@ -148,12 +189,6 @@ class Partition:
 
     def __new__(cls, n: int, blocks):
         return cls._raw(_checked_rgs(n, blocks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a Partition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a Partition is immutable")
 
     def __reduce__(self):
         # Pickle and copy rebuild through the checked rgs constructor.

@@ -21,7 +21,6 @@ Bell -> C -> B -> A, on integer rows with no ``Fraction`` between steps.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -30,7 +29,7 @@ from operator import add
 
 from .bijections import WeightAssignment, _check_weights, _keys_from_roots
 from .enumeration import _iter_rgs_no_singletons
-from .partition import _integer, _rgs_roots
+from .partition import _integer, _Record, _rgs_roots
 from .series import Series, _integral, _monic, _mul, solve_fixpoint
 
 _ZERO = Fraction(0)
@@ -248,11 +247,13 @@ def weighted_brute_coeffs(
     return tuple(Fraction(total, powers[depth]) for total in (a, b, c, d))
 
 
-@dataclass(frozen=True)
-class CountsTable:
+class CountsTable(_Record):
     """Rows (n, |PC|, |PC+|, |CO|, |P|) for n = 1 .. max_n."""
 
-    rows: tuple[tuple[int, int, int, int, int], ...]
+    __slots__ = __match_args__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, int, int, int, int], ...]):
+        self._fill(rows)
 
     def row(self, n: int) -> tuple[int, int, int, int, int]:
         """The row for size n; KeyError unless n is an int (not a bool)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .partition import _integer
+from .partition import _integer, _Record
 
 _ZERO = Fraction(0)
 # Text that Fraction reads as a decimal with an exponent: its grammar
@@ -43,7 +43,7 @@ def _to_fraction(value, name="coefficient") -> Fraction:
         raise ValueError(f"{name} {value!r} has a zero denominator") from None
 
 
-class Series:
+class Series(_Record):
     """A power series known through ``x**order``, coefficients exact.
 
     ``coeffs`` is the one field; ``order`` is read off its length.  The
@@ -52,7 +52,7 @@ class Series:
     attribute can be set or deleted once the slot is filled.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs, order=None):
         # Text and buffers iterate to characters or byte values, mappings
@@ -69,16 +69,6 @@ class Series:
         elif not vals:
             raise ValueError("need coefficients or an explicit order")
         _set_coeffs(self, tuple(vals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a Series is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a Series is immutable")
-
-    def __reduce__(self):
-        # Pickle and copy rebuild through the checked constructor.
-        return Series, (self.coeffs,)
 
     @property
     def order(self) -> int:

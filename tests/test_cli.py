@@ -708,6 +708,21 @@ def test_verify_is_imported_on_first_use():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\nFalse\n", "")
 
 
+def test_cli_import_leaves_out_dataclasses_and_json():
+    # The records are plain slotted classes, so no import pulls in
+    # dataclasses or what it loads; json comes with the commands that
+    # write or read it.
+    script = (
+        "import sys, purecross.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=False
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_closed_stdout_exits_141_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "purecross.cli", "enumerate", "--n", "9"],

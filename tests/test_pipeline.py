@@ -442,8 +442,10 @@ class TestCountsTable:
         with pytest.raises(ValueError):
             counts_table(0)
 
-    def test_is_a_frozen_dataclass(self):
+    def test_is_a_read_only_record(self):
         table = counts_table(1)
         assert isinstance(table, CountsTable)
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             table.rows = ()
+        with pytest.raises(AttributeError):
+            del table.rows

@@ -17,6 +17,14 @@ rational weight along with it:
   partition per gap between consecutive core atoms (the last gap runs to
   atom n; gaps may be empty).
 
+All of them read and write restricted-growth strings, never blocks.
+The decomposers find each block's cover block with ``_rgs_roots`` and
+cut the string into pieces, core and gaps, which ``_relabel`` numbers
+afresh; the assemblers give each atom a label that names its part and
+its block there, and relabel the labels by first appearance.  Each
+result is built by ``Partition._raw``, each record through its checked
+constructor.
+
 Weights start from an assignment on the purely crossing family (weight 1
 where unassigned) and are transported outward: a no-neighbor connected
 partition either is purely crossing already or arises from one by
@@ -29,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .partition import Partition, _integer, _Record, _rgs_roots
+from .partition import Partition, _integer, _Record, _relabel, _rgs_roots
 from .series import _to_fraction
 
 _ONE = Fraction(1)
@@ -68,6 +76,10 @@ class PcPlusCase(_Record):
     __slots__ = __match_args__ = ("adjoined", "base")
 
     def __init__(self, adjoined: bool, base: Partition):
+        if type(adjoined) is not bool:
+            raise ValueError(f"adjoined {adjoined!r} is not a bool")
+        if not isinstance(base, Partition) or not base.is_purely_crossing():
+            raise ValueError(f"base {base} is not a purely crossing partition")
         self._fill(adjoined, base)
 
 
@@ -81,14 +93,14 @@ class CoverDecomposition(_Record):
         pieces = tuple(pieces)
         if not cover.is_noncrossing():
             raise ValueError(f"cover {cover} is crossing")
-        blocks = cover.blocks
-        if len(pieces) != len(blocks):
-            raise ValueError(f"{len(pieces)} pieces for {len(blocks)} cover blocks")
-        for block, piece in zip(blocks, pieces):
-            if piece.n != len(block):
-                raise ValueError(
-                    f"piece of size {piece.n} against cover block of size {len(block)}"
-                )
+        sizes = [0] * len(set(cover.rgs))  # atoms per cover block
+        for c in cover.rgs:
+            sizes[c] += 1
+        if len(pieces) != len(sizes):
+            raise ValueError(f"{len(pieces)} pieces for {len(sizes)} cover blocks")
+        for size, piece in zip(sizes, pieces):
+            if piece.n != size:
+                raise ValueError(f"piece of size {piece.n} against cover block of size {size}")
             if not piece.is_connected():
                 raise ValueError(f"piece {piece} is not connected")
         self._fill(cover, pieces)
@@ -140,7 +152,7 @@ def pc_plus_decompose(pi: Partition) -> PcPlusCase:
         raise ValueError(f"{pi} is not connected or has a block with adjacent atoms")
     if pi.rgs[-1] != 0:
         return PcPlusCase(adjoined=False, base=pi)
-    return PcPlusCase(adjoined=True, base=pi.restrict(range(1, pi.n)))
+    return PcPlusCase(adjoined=True, base=Partition._raw(pi.rgs[:-1]))
 
 
 # -- connected <-> (no-neighbor connected base, composition) ----------
@@ -180,20 +192,21 @@ def contract(pi: Partition) -> tuple[Partition, Composition]:
 
 def cover_decompose(pi: Partition) -> CoverDecomposition:
     """Split a partition into its noncrossing cover and the connected
-    restriction to each cover block."""
-    cover = pi.noncrossing_cover()
-    pieces = tuple(pi.restrict(block) for block in cover.blocks)
-    return CoverDecomposition(cover, pieces)
+    piece on each cover block: the rgs values at that block's positions,
+    relabeled."""
+    root = _rgs_roots(pi.rgs)
+    pieces = {}  # root -> the rgs values of its cover block, in cover order
+    for v in pi.rgs:
+        pieces.setdefault(root[v], []).append(v)
+    cover = Partition._raw(_relabel([root[v] for v in pi.rgs]))
+    return CoverDecomposition(cover, [Partition._raw(_relabel(p)) for p in pieces.values()])
 
 
 def cover_assemble(dec: CoverDecomposition) -> Partition:
-    """Embed each piece into its cover block order-preservingly and take
-    the union of the resulting blocks."""
-    blocks = []
-    for block, piece in zip(dec.cover.blocks, dec.pieces):
-        for piece_block in piece.blocks:
-            blocks.append([block[a - 1] for a in piece_block])
-    return Partition(dec.n, blocks)
+    """Embed each piece into its cover block order-preservingly: an atom's
+    block is the pair (its cover block, its next label in that piece)."""
+    pieces = [iter(piece.rgs) for piece in dec.pieces]
+    return Partition._raw(_relabel([(c, next(pieces[c])) for c in dec.cover.rgs]))
 
 
 # -- arbitrary <-> (connected core, gap partitions) -------------------
@@ -205,30 +218,23 @@ def gap_decompose(pi: Partition) -> GapDecomposition:
     and keep their blocks, relabeled to start at 1."""
     if pi.n < 1:
         raise ValueError("ground set must be nonempty")
-    anchor = pi.noncrossing_cover().blocks[0]
-    core = pi.restrict(anchor)
-    gaps = []
-    for j, s in enumerate(anchor):
-        end = anchor[j + 1] - 1 if j + 1 < len(anchor) else pi.n
-        gaps.append(pi.restrict(range(s + 1, end + 1)))
-    return GapDecomposition(core, tuple(gaps))
+    rgs = pi.rgs
+    root = _rgs_roots(rgs)
+    anchor = [i for i, v in enumerate(rgs) if root[v] == 0]
+    ends = anchor[1:] + [pi.n]
+    gaps = [Partition._raw(_relabel(rgs[s + 1:e])) for s, e in zip(anchor, ends)]
+    return GapDecomposition(Partition._raw(_relabel([rgs[i] for i in anchor])), gaps)
 
 
 def gap_assemble(dec: GapDecomposition) -> Partition:
-    """Inverse of :func:`gap_decompose`: lay out core atoms and gap blocks
-    left to right and undo the relabeling."""
-    positions = []
-    p = 0
-    for j in range(dec.core.n):
-        p += 1
-        positions.append(p)
-        p += dec.gaps[j].n
-    blocks = [[positions[a - 1] for a in block] for block in dec.core.blocks]
-    for j, gap in enumerate(dec.gaps):
-        offset = positions[j]
-        for block in gap.blocks:
-            blocks.append([a + offset for a in block])
-    return Partition(p, blocks)
+    """Inverse of :func:`gap_decompose`: lay out each core atom's block
+    followed by its gap's blocks, told apart as (gap index, label), and
+    relabel left to right."""
+    labels = []
+    for j, (v, gap) in enumerate(zip(dec.core.rgs, dec.gaps)):
+        labels.append(v)
+        labels.extend((j, g) for g in gap.rgs)
+    return Partition._raw(_relabel(labels))
 
 
 # -- weights ----------------------------------------------------------
@@ -331,9 +337,9 @@ def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
     already collapsed: the keys of its collapsed form are its own.
 
     Per cover block this is :func:`cover_decompose`, :func:`contract` and
-    :func:`pc_plus_decompose` read off the rgs: restrict to the block,
-    collapse runs of one block, relabel, and drop a last atom that shares
-    atom 1's block.  A piece that contracts to the single atom has no key.
+    :func:`pc_plus_decompose` read off the rgs: take the values at the
+    block's positions, collapse runs of one block, relabel, and drop a
+    last atom that shares atom 1's block.  A piece that contracts to the single atom has no key.
     Atoms are grouped by the root of their block, and a block's label in
     its piece is the number of earlier blocks with the same root, since
     blocks are numbered in order of first appearance.

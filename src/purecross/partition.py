@@ -9,7 +9,8 @@ the string in one pass whenever it is asked for.  Every instance is
 made by the one trusted constructor ``Partition._raw``.
 ``Partition(n, blocks)``, ``from_rgs``, ``parse`` and ``from_json``
 check their input before they call it; partitions derived from one
-already built (the cover, rotations, restrictions) go to it directly.
+already built (the cover, rotations, decomposition pieces) go to it
+directly.
 
 The predicates defined here classify a partition into the families the
 rest of the package enumerates and transforms: noncrossing, connected
@@ -401,13 +402,6 @@ class Partition(_Record):
         if r == 0:
             return self
         return Partition._raw(_relabel(self.rgs[-r:] + self.rgs[:-r]))
-
-    def restrict(self, atoms) -> "Partition":
-        """Intersect blocks with ``atoms`` and relabel order-preservingly to
-        {1, .., len(atoms)}.  Restricting to no atoms gives the empty
-        partition."""
-        kept = sorted({_integer(a, "atom", 1, self.n) for a in atoms})
-        return Partition._raw(_relabel([self.rgs[a - 1] for a in kept]))
 
     def is_refinement_of(self, other: "Partition") -> bool:
         """True iff every block of ``other`` is a union of blocks of self."""

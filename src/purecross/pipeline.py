@@ -253,6 +253,12 @@ class CountsTable(_Record):
     __slots__ = __match_args__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, int, int, int, int], ...]):
+        rows = tuple(map(tuple, rows))
+        for k, row in enumerate(rows, 1):
+            # A row of another length fails the type test below.
+            n, pc, pp, co, al = row if len(row) == 5 else (None,) * 5
+            if not (type(n) is type(pc) is type(pp) is type(co) is type(al) is int and n == k):
+                raise ValueError(f"row {k} must be five ints starting with {k}, not {row!r}")
         self._fill(rows)
 
     def row(self, n: int) -> tuple[int, int, int, int, int]:

@@ -112,6 +112,56 @@ def cover_brute(blocks, n, noncrossing=None):
     return sorted(tuple(sorted(block)) for block in best)
 
 
+def _crosses(one, other):
+    """Some a < b < c < d with a, c in one block and b, d in the other."""
+    def pairs(block):
+        return combinations(sorted(block), 2)
+
+    return any(
+        a < b < c < d or b < a < d < c for a, c in pairs(one) for b, d in pairs(other)
+    )
+
+
+def cover_by_merging(blocks):
+    """The noncrossing cover by its definition: merge two crossing blocks
+    until no pair crosses.  Blocks as sorted tuples, ordered by least atom."""
+    merged = [set(block) for block in blocks]
+    found = True
+    while found:
+        found = False
+        for i, j in combinations(range(len(merged)), 2):
+            if _crosses(merged[i], merged[j]):
+                merged[i] |= merged.pop(j)
+                found = True
+                break
+    return tuple(sorted(tuple(sorted(block)) for block in merged))
+
+
+def restrict_brute(blocks, atoms):
+    """Intersect every block with ``atoms`` and renumber the atoms kept
+    1, 2, .. in increasing order; canonical blocks as tuples."""
+    number = {a: k for k, a in enumerate(sorted(atoms), 1)}
+    kept = (sorted(number[a] for a in block if a in number) for block in blocks)
+    return tuple(sorted(tuple(block) for block in kept if block))
+
+
+def cover_decompose_brute(blocks):
+    """(cover, pieces): the cover blocks, and the restriction of the
+    partition to each of them in order."""
+    cover = cover_by_merging(blocks)
+    return cover, tuple(restrict_brute(blocks, block) for block in cover)
+
+
+def gap_decompose_brute(blocks, n):
+    """(core, gaps): the restriction to the cover block of atom 1, and to
+    the atoms strictly between each core atom and the next (the last gap
+    runs to atom n)."""
+    anchor = cover_by_merging(blocks)[0]
+    ends = anchor[1:] + (n + 1,)
+    gaps = tuple(restrict_brute(blocks, range(s + 1, e)) for s, e in zip(anchor, ends))
+    return restrict_brute(blocks, anchor), gaps
+
+
 def _mul_trunc(left, right, order):
     out = [Fraction(0)] * (order + 1)
     for i in range(min(len(left), order + 1)):

@@ -34,6 +34,8 @@ from purecross import (
 from purecross import bijections
 from purecross.enumeration import _iter_rgs_plain
 
+from oracles import all_partitions_brute, cover_decompose_brute, gap_decompose_brute
+
 
 def compositions(n, parts):
     """All ways to write n as an ordered sum of ``parts`` positive terms."""
@@ -190,6 +192,14 @@ class TestCoverDecomposition:
             for pi in iterate(n, PartitionClass.ALL):
                 assert cover_assemble(cover_decompose(pi)) == pi
 
+    def test_against_oracle(self):
+        for n in range(8):
+            for blocks in all_partitions_brute(n):
+                dec = cover_decompose(Partition(n, blocks))
+                cover, pieces = cover_decompose_brute(blocks)
+                assert dec.cover.blocks == cover, blocks
+                assert tuple(piece.blocks for piece in dec.pieces) == pieces, blocks
+
     def test_bijection_onto_all(self):
         for n in range(1, 7):
             produced = []
@@ -242,6 +252,14 @@ class TestGapDecomposition:
         for n in range(1, 9):
             for pi in iterate(n, PartitionClass.ALL):
                 assert gap_assemble(gap_decompose(pi)) == pi
+
+    def test_against_oracle(self):
+        for n in range(1, 8):
+            for blocks in all_partitions_brute(n):
+                dec = gap_decompose(Partition(n, blocks))
+                core, gaps = gap_decompose_brute(blocks, n)
+                assert dec.core.blocks == core, blocks
+                assert tuple(gap.blocks for gap in dec.gaps) == gaps, blocks
 
     def test_bijection_onto_all(self):
         partitions_by_size = {0: [Partition.empty()]}

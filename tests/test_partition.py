@@ -489,17 +489,6 @@ class TestOperations:
                     moved = [[(a - 1 + r) % n + 1 for a in b] for b in blocks]
                     assert got.n == n and got.blocks == canonical(moved), (blocks, r)
 
-    def test_restrict_against_oracle(self):
-        for n in range(1, 7):
-            for blocks in all_partitions_brute(n):
-                pi = Partition(n, blocks)
-                for mask in range(1 << n):
-                    kept = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
-                    label = {a: k for k, a in enumerate(kept, 1)}
-                    got = pi.restrict(kept[::-1])
-                    expected = canonical([label[a] for a in b if a in label] for b in blocks)
-                    assert got.n == len(kept) and got.blocks == expected, (blocks, kept)
-
     def test_refinement_against_oracle(self):
         for n in range(1, 6):
             everything = list(all_partitions_brute(n))
@@ -509,14 +498,6 @@ class TestOperations:
                     assert fine.is_refinement_of(coarse) == refines_brute(
                         fine_blocks, coarse_blocks
                     )
-
-    def test_restrict(self):
-        pi = Partition.parse("1,5|2,4|3")
-        assert pi.restrict(range(2, 5)) == Partition.parse("1,3|2")
-        assert pi.restrict([1, 5]) == Partition.whole(2)
-        assert pi.restrict([]) == Partition.empty()
-        with pytest.raises(PartitionError):
-            pi.restrict([4, 6])
 
     def test_refinement(self):
         fine = Partition.parse("1,3|2|4")

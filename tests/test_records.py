@@ -3,9 +3,11 @@ GapDecomposition and CountsTable.
 
 Their repr, hash and error messages are pinned to what the frozen
 dataclasses they replaced gave (CPython, 64-bit: ints and tuples hash
-the same in every process)."""
+the same in every process); the field checks of PcPlusCase and
+CountsTable came later and are pinned to their own messages."""
 
 import copy
+import hashlib
 import pickle
 
 import pytest
@@ -21,6 +23,7 @@ from purecross import (
     counts_table,
     cover_decompose,
     gap_decompose,
+    iterate,
 )
 
 P = Partition.parse
@@ -148,6 +151,46 @@ REFUSED = [
         TypeError,
         "CountsTable.__init__() missing 1 required positional argument: 'rows'",
     ),
+    (lambda: PcPlusCase("no", 2), ValueError, "adjoined 'no' is not a bool"),
+    (lambda: PcPlusCase(1, P("1,3|2,4")), ValueError, "adjoined 1 is not a bool"),
+    (lambda: PcPlusCase(None, P("1,3|2,4")), ValueError, "adjoined None is not a bool"),
+    (lambda: PcPlusCase(True, 2), ValueError, "base 2 is not a purely crossing partition"),
+    (
+        lambda: PcPlusCase(False, "1,3|2,4"),
+        ValueError,
+        "base 1,3|2,4 is not a purely crossing partition",
+    ),
+    (
+        lambda: PcPlusCase(True, P("1,3,5|2,4")),
+        ValueError,
+        "base 1,3,5|2,4 is not a purely crossing partition",
+    ),
+    (
+        lambda: PcPlusCase(False, Partition.whole(1)),
+        ValueError,
+        "base 1 is not a purely crossing partition",
+    ),
+    (
+        lambda: CountsTable([[1, 0, 1, 1]]),
+        ValueError,
+        "row 1 must be five ints starting with 1, not (1, 0, 1, 1)",
+    ),
+    (
+        lambda: CountsTable([(1, 0, 1, 1, 1.0)]),
+        ValueError,
+        "row 1 must be five ints starting with 1, not (1, 0, 1, 1, 1.0)",
+    ),
+    (
+        lambda: CountsTable([(True, 0, 1, 1, 1)]),
+        ValueError,
+        "row 1 must be five ints starting with 1, not (True, 0, 1, 1, 1)",
+    ),
+    (
+        lambda: CountsTable([(1, 0, 1, 1, 1), (3, 0, 0, 1, 5)]),
+        ValueError,
+        "row 2 must be five ints starting with 2, not (3, 0, 0, 1, 5)",
+    ),
+    (lambda: CountsTable([(1, 0, 1, 1, 1), 2.5]), TypeError, "'float' object is not iterable"),
 ]
 
 RECORDS = [make for make, _, _ in PINNED]
@@ -224,6 +267,26 @@ def test_sequences_are_stored_as_tuples():
     assert type(dec.pieces) is tuple
     gap = GapDecomposition(P("1"), [Partition.empty()])
     assert type(gap.gaps) is tuple
+
+
+def test_counts_table_rows_are_tuples():
+    table = CountsTable([[1, 0, 1, 1, 1], [2, 0, 0, 1, 2]])
+    assert table == counts_table(2) and hash(table) == hash(counts_table(2))
+    assert type(table.rows) is tuple and all(type(row) is tuple for row in table.rows)
+    with pytest.raises(TypeError):
+        table.rows[0][1] = 99
+
+
+def test_decompositions_of_every_partition_are_pinned():
+    # The repr of both decompositions of each partition with n <= 9, in
+    # enumeration order, against what the block-based decomposers gave.
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for pi in iterate(n):
+            digest.update(f"{cover_decompose(pi)!r}\n{gap_decompose(pi)!r}\n".encode())
+    assert digest.hexdigest() == (
+        "594320276ec2f7fef4a303bf47d9ce76c54d7024435fbd318b1c5e2254d7fd3d"
+    )
 
 
 @pytest.mark.parametrize("make", RECORDS)

@@ -23,22 +23,27 @@ cut the string into pieces, core and gaps, which ``_relabel`` numbers
 afresh; the assemblers give each atom a label that names its part and
 its block there, and relabel the labels by first appearance.  Each
 result is built by ``Partition._raw``, each record through its checked
-constructor.
+constructor, which refuses a part that is not a ``Partition``.
 
 Weights start from an assignment on the purely crossing family (weight 1
 where unassigned) and are transported outward: a no-neighbor connected
 partition either is purely crossing already or arises from one by
 adjoining atom n to the block of atom 1; a connected partition reads the
 weight of its contracted base; an arbitrary partition multiplies the
-weights of its cover pieces, the empty partition weighing 1.
+weights of its cover pieces, the empty partition weighing 1.  All three
+rules come down to one list of purely crossing keys per partition, read
+off its collapsed form by one kernel, ``_keys_from_roots``, which also
+classifies the forms of ``pipeline.weighted_brute_coeffs``; an
+assignment scales its weights to integers by ``series._integral``, the
+series' own rational scaling.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import groupby
 
 from .partition import Partition, _integer, _Record, _relabel, _rgs_roots
-from .series import _to_fraction
+from .series import _integral, _to_fraction
 
 _ONE = Fraction(1)
 
@@ -83,6 +88,15 @@ class PcPlusCase(_Record):
         self._fill(adjoined, base)
 
 
+def _check_partitions(**parts) -> None:
+    """Raise ``ValueError`` at the first value that is not a
+    :class:`Partition`, named by the keyword of its sequence."""
+    for name, values in parts.items():
+        for value in values:
+            if not isinstance(value, Partition):
+                raise ValueError(f"{name} {value!r} is not a Partition")
+
+
 class CoverDecomposition(_Record):
     """A noncrossing cover plus one connected piece per cover block, the
     piece sizes matching the block sizes."""
@@ -91,6 +105,7 @@ class CoverDecomposition(_Record):
 
     def __init__(self, cover: Partition, pieces):
         pieces = tuple(pieces)
+        _check_partitions(cover=[cover], piece=pieces)
         if not cover.is_noncrossing():
             raise ValueError(f"cover {cover} is crossing")
         sizes = [0] * len(set(cover.rgs))  # atoms per cover block
@@ -118,6 +133,7 @@ class GapDecomposition(_Record):
 
     def __init__(self, core: Partition, gaps):
         gaps = tuple(gaps)
+        _check_partitions(core=[core], gap=gaps)
         if core.n < 1:
             raise ValueError("core must have at least one atom")
         if not core.is_connected():
@@ -176,15 +192,8 @@ def contract(pi: Partition) -> tuple[Partition, Composition]:
     lie inside one block.  Requires a connected input."""
     if not pi.is_connected() or pi.n < 1:
         raise ValueError(f"{pi} is not connected")
-    values = []
-    lengths = []
-    for v in pi.rgs:
-        if values and values[-1] == v:
-            lengths[-1] += 1
-        else:
-            values.append(v)
-            lengths.append(1)
-    return Partition._raw(tuple(values)), Composition(tuple(lengths))
+    values, lengths = zip(*[(v, len(list(run))) for v, run in groupby(pi.rgs)])
+    return Partition._raw(values), Composition(lengths)
 
 
 # -- arbitrary <-> (noncrossing cover, connected pieces) --------------
@@ -251,10 +260,10 @@ class WeightAssignment:
     text names it.
 
     The assignment is immutable, so its integer form is computed once,
-    when it is built: ``_scale`` is L, the lcm of the weight
-    denominators (1 when nothing is assigned), and ``_scaled`` maps each
-    assigned key to the integer L w[key]; a weight is read back as
-    ``Fraction(_scaled.get(key, L), L)``.
+    when it is built, by :func:`series._integral`: ``_scale`` is L, the
+    lcm of the weight denominators (1 when nothing is assigned), and
+    ``_scaled`` maps each assigned key to the integer L w[key]; a weight
+    is read back as ``Fraction(_scaled.get(key, L), L)``.
     """
 
     # Keyed by the rgs tuple, which alone fixes the partition (n is its
@@ -271,8 +280,8 @@ class WeightAssignment:
                 if pi.rgs in table:
                     raise ValueError(f"{pi} is assigned more than one weight")
                 table[pi.rgs] = _to_fraction(value, "weight")
-        self._scale = scale = lcm(*(q.denominator for q in table.values()))
-        self._scaled = {key: q.numerator * (scale // q.denominator) for key, q in table.items()}
+        scaled, self._scale = _integral(table.values())
+        self._scaled = dict(zip(table, scaled))
 
     def __getitem__(self, pi: Partition) -> Fraction:
         if not isinstance(pi, Partition):
@@ -326,31 +335,40 @@ class WeightAssignment:
 def _weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The purely crossing keys whose weights multiply to the weight of
     the partition with restricted-growth string ``rgs``, sorted, each as
-    an rgs tuple; and whether its noncrossing cover is one block."""
-    return _keys_from_roots(rgs, _rgs_roots(rgs))
+    an rgs tuple; and whether its noncrossing cover is one block.  A run
+    of one block changes neither, so they are read off the collapsed
+    form, the string with each run cut to one entry."""
+    flat = tuple([v for v, _ in groupby(rgs)])
+    return _keys_from_roots(flat, _rgs_roots(flat))
 
 
-def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """:func:`_weight_keys` given the root of each block, the first
-    block of the cover block that holds it.  Runs of one block collapse
-    in the pieces anyway, so the string may be given with its runs
-    already collapsed: the keys of its collapsed form are its own.
+def _keys_from_roots(flat, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """:func:`_weight_keys` of the collapsed form ``flat``, an rgs tuple
+    with no run of one block, given the root of each block: the first
+    block of the cover block that holds it.  It is the one key kernel,
+    for single partitions and for the forms of the brute rows alike.
 
     Per cover block this is :func:`cover_decompose`, :func:`contract` and
     :func:`pc_plus_decompose` read off the rgs: take the values at the
     block's positions, collapse runs of one block, relabel, and drop a
-    last atom that shares atom 1's block.  A piece that contracts to the single atom has no key.
-    Atoms are grouped by the root of their block, and a block's label in
-    its piece is the number of earlier blocks with the same root, since
-    blocks are numbered in order of first appearance.
+    last atom that shares atom 1's block; a piece that contracts to the
+    single atom has no key.  A form with one root is its own piece, so
+    its key is the form less a final 0, and the single atom and the
+    empty form have none.  Otherwise atoms are grouped by the root of
+    their block, and a block's label in its piece is the number of
+    earlier blocks with the same root, since blocks are numbered in
+    order of first appearance.
     """
+    if not any(root):  # the form is its own piece
+        key = flat[:-1] if flat[-1:] == (0,) else flat  # the single atom and () leave ()
+        return ((key,) if key else ()), True
     seen = [0] * len(root)  # blocks met so far per root
     rank = []
     for r in root:
         rank.append(seen[r])
         seen[r] += 1
     pieces = [[] for _ in root]
-    for v in rgs:
+    for v in flat:
         piece = pieces[root[v]]
         k = rank[v]
         if not piece or piece[-1] != k:
@@ -362,7 +380,7 @@ def _keys_from_roots(rgs, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
                 piece.pop()
             keys.append(tuple(piece))
     keys.sort()
-    return tuple(keys), not any(root)
+    return tuple(keys), False
 
 
 def _check_weights(w) -> None:

@@ -71,8 +71,8 @@ class _Record:
     are equal when their fields are, hash as the tuple of their fields,
     print as ``Name(field=value, ...)``, and pickle and copy through the
     checked constructor.  No attribute of any subclass can be set or
-    deleted; ``Partition`` and ``Series`` define equality and repr (and
-    ``Partition`` its hash and pickling) their own way."""
+    deleted.  ``Partition`` defines equality, order, hash, repr and
+    pickling its own way, and ``Series`` only its repr."""
 
     __slots__ = ()
 
@@ -119,15 +119,15 @@ def _checked_rgs(n: int, raw_blocks) -> tuple[int, ...]:
     _integer(n, "ground set size", 0)
     where = {}  # not a list per atom: memory stays bounded by the input
     for index, block in enumerate(raw_blocks):
-        atoms = list(block)
-        if not atoms:
-            raise PartitionError("empty block")
-        for a in atoms:
+        size = len(where)
+        for a in block:
             if not (type(a) is int and 0 < a <= n):
                 _integer(a, "atom", 1, n)  # raises, naming what is wrong
             if a in where:
                 raise PartitionError(f"atom {a} appears in more than one block")
             where[a] = index
+        if len(where) == size:  # every atom read was new: the block had none
+            raise PartitionError("empty block")
     if len(where) < n:  # distinct atoms in 1 .. n: some atom is missing
         for a in range(1, n + 1):
             if a not in where:

@@ -161,25 +161,19 @@ def _singleton_free_rows(m: int):
     components and keys are those of the string, so each form is
     classified once (lengths 0 to 9 have 4,361 strings and 1,174 forms).
 
-    A connected form is its own cover piece, so its one key is the form
-    with a last 0 dropped; its strings have no neighbors when the form
-    has length m, and are then purely crossing when the last atom is
-    also outside atom 1's block.  Only the other forms go through
-    :func:`_keys_from_roots`."""
+    Every form goes through :func:`_keys_from_roots`, the key kernel of
+    single partitions, and the family flags are read off its answer and
+    the form: a string is connected when the cover is whole (the empty
+    partition counts in d only), no-neighbor when it is also its own
+    form (the form has length m), and purely crossing when moreover its
+    last atom is outside atom 1's block."""
     forms = Counter(flat for _, flat in _iter_rgs_no_singletons(m))
     rows = defaultdict(lambda: [0, 0, 0, 0])
     for flat, strings in forms.items():
-        root = _rgs_roots(flat)
-        if any(root):
-            rows[_keys_from_roots(flat, root)[0]][3] += strings
-        elif len(flat) < 2:  # the whole block, or the empty partition
-            row = rows[()]
-            row[3] += strings
-            if flat:  # the empty partition counts in d only
-                row[2] += strings
-        else:
-            row = rows[(flat[:-1] if flat[-1] == 0 else flat,)]
-            row[3] += strings
+        keys, whole = _keys_from_roots(flat, _rgs_roots(flat))
+        row = rows[keys]
+        row[3] += strings
+        if whole and flat:
             row[2] += strings
             if len(flat) == m:
                 row[1] += strings
@@ -203,8 +197,8 @@ def weighted_brute_coeffs(
     atoms in non-singleton blocks are the pairs (m-subset of [n],
     singleton-free partition of [m]), so D sums C(n, m) times the rows of
     length m (:func:`_singleton_free_rows`, walked once per length and
-    classified once per collapsed form; a connected form gives its key
-    and family flags).  A connected partition with n >= 2 has no
+    classified once per collapsed form by the key kernel of single
+    partitions).  A connected partition with n >= 2 has no
     singleton, so A, B and C are the rows of length n; the single atom
     is connected, no-neighbor and keyless.
 

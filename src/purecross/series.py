@@ -2,8 +2,9 @@
 
 A :class:`Series` stores its coefficients c0 .. c_order as a tuple of
 ``Fraction``s and nothing else: its order is the length of that tuple
-less one, and it is immutable.  No floating point or bool is accepted
-anywhere, nor a string in exponent notation or with a zero denominator.
+less one, and it is immutable and hashable.  No floating point or bool
+is accepted anywhere, nor a string in exponent notation or with a zero
+denominator.
 Binary operations truncate to the smaller operand order, which the
 length of the result's coefficients then carries; nothing ever extends
 an order.
@@ -48,8 +49,12 @@ class Series(_Record):
 
     ``coeffs`` is the one field; ``order`` is read off its length.  The
     ``order`` argument pads the given coefficients with zeros through
-    ``x**order``; it goes through the package's one integer check.  No
-    attribute can be set or deleted once the slot is filled.
+    ``x**order``; it goes through the package's one integer check.  A
+    series is a plain :class:`partition._Record`: no attribute can be
+    set or deleted once the slot is filled, and it is compared, hashed,
+    copied and pickled through that one field, so equal coefficients
+    (orders included) make equal series with equal hashes.  Only its
+    repr is its own.
     """
 
     __slots__ = __match_args__ = ("coeffs",)
@@ -68,7 +73,7 @@ class Series(_Record):
             vals.extend([_ZERO] * (order + 1 - len(vals)))
         elif not vals:
             raise ValueError("need coefficients or an explicit order")
-        _set_coeffs(self, tuple(vals))
+        self._fill(tuple(vals))
 
     @property
     def order(self) -> int:
@@ -93,11 +98,6 @@ class Series(_Record):
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond order {self.order}")
         return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs  # equal tuples have equal orders
 
     def __repr__(self) -> str:
         return f"Series({[str(c) for c in self.coeffs]}, order={self.order})"
@@ -203,9 +203,6 @@ class Series(_Record):
         if self.order < 1 or c[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
         return Series([_ZERO] + _lagrange(self.shift_down(), self.order, -1))
-
-
-_set_coeffs = Series.coeffs.__set__
 
 
 def _integral(coeffs) -> tuple[list, int]:

@@ -162,6 +162,23 @@ class TestConstruction:
         with pytest.raises(PartitionError):
             Partition(-1, [])
 
+    def test_blocks_are_read_once_in_order(self):
+        # Blocks may be one-shot iterators: each is read once, and an
+        # empty one is reported when it is reached, before any later
+        # block is read.
+        blocks = [iter([3, 1]), iter([2])]
+        assert Partition(3, blocks) == Partition.parse("1,3|2")
+        assert Partition(3, (iter(b) for b in ([1], [2, 3]))) == Partition.parse("1|2,3")
+        for raw, message in (
+            ([iter([1, 2]), iter([]), iter([0])], "empty block"),
+            ([iter([]), iter([1, 1])], "empty block"),
+            ([iter([1]), iter([1]), iter([])], "atom 1 appears in more than one block"),
+            ([iter([1, 2]), iter([3.0]), iter([])], "atom 3.0 is not an integer"),
+        ):
+            with pytest.raises(PartitionError) as info:
+                Partition(2, raw)
+            assert str(info.value) == message
+
 
 def _scanned(text):
     """Partition.parse as the scanner alone reads the text."""

@@ -259,6 +259,18 @@ class TestWeightedBrute:
             assert len(rows) == len(expected), m
             assert dict(rows) == expected, m
 
+    def test_rows_are_pinned(self):
+        # The rows of every length m <= 11 (98,253 strings at m = 11),
+        # each sorted, so compared as multisets, against the digest of
+        # what the classification gave when connected forms had branches
+        # of their own instead of going through the key kernel.
+        digest = hashlib.sha256()
+        for m in range(12):
+            digest.update(f"{sorted(pipeline._singleton_free_rows(m))!r}\n".encode())
+        assert digest.hexdigest() == (
+            "5b08da19f53e6eed05bfad89d316b67a52f7f1ebba74bbf4b7fdd61f830f9544"
+        )
+
     def test_single_assignment_example(self):
         w = WeightAssignment({Partition.parse("1,3|2,4"): Fraction(7, 2)})
         a4, b4, c4, d4 = weighted_brute_coeffs(4, w)

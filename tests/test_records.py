@@ -4,7 +4,8 @@ GapDecomposition and CountsTable.
 Their repr, hash and error messages are pinned to what the frozen
 dataclasses they replaced gave (CPython, 64-bit: ints and tuples hash
 the same in every process); the field checks of PcPlusCase and
-CountsTable came later and are pinned to their own messages."""
+CountsTable, and the Partition checks of the decompositions' parts,
+came later and are pinned to their own messages."""
 
 import copy
 import hashlib
@@ -126,6 +127,26 @@ REFUSED = [
         ValueError,
         "core must have at least one atom",
     ),
+    (lambda: CoverDecomposition(P("1"), ["x"]), ValueError, "piece 'x' is not a Partition"),
+    (
+        lambda: CoverDecomposition(P("1,2|3"), (P("1,2"), (0,))),
+        ValueError,
+        "piece (0,) is not a Partition",
+    ),
+    (lambda: CoverDecomposition("1", [P("1")]), ValueError, "cover '1' is not a Partition"),
+    (lambda: CoverDecomposition(None, ()), ValueError, "cover None is not a Partition"),
+    (lambda: GapDecomposition(P("1"), ["x"]), ValueError, "gap 'x' is not a Partition"),
+    (
+        lambda: GapDecomposition(P("1,2"), (Partition.empty(), [])),
+        ValueError,
+        "gap [] is not a Partition",
+    ),
+    (
+        lambda: GapDecomposition((0,), [Partition.empty()]),
+        ValueError,
+        "core (0,) is not a Partition",
+    ),
+    (lambda: GapDecomposition(1, ()), ValueError, "core 1 is not a Partition"),
     (
         lambda: Composition(),
         TypeError,

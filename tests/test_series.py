@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from purecross import PartitionError, Series, render_text, solve_fixpoint
+from purecross.partition import _Record
 from purecross.series import _exact
 
 from oracles import _mul_trunc, _recip_trunc, catalan, compose_trunc, lagrange_reversion
@@ -140,6 +141,19 @@ class TestConstruction:
         for f in (Series([1, "1/2", -3], order=5), Series.zero(0)):
             for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
                 assert clone == f and clone.order == f.order and clone is not f
+
+    def test_hashes_as_a_record(self):
+        # Equality, hash and pickling are _Record's, through the one field:
+        # equal series hash equal, whatever form their coefficients took.
+        f = Series([1, 2])
+        assert Series.__eq__ is _Record.__eq__ and Series.__hash__ is _Record.__hash__
+        twins = (Series(["1", Fraction(2)]), Series([1, 2], order=1), Series(iter([1, 2])))
+        assert all(twin == f and hash(twin) == hash(f) == hash(f._fields()) for twin in twins)
+        assert len({f, *twins, Series([1, 2, 0]), Series([1, 2], order=2)}) == 2
+        assert {f: "f"}[Series([1, 2])] == "f"
+        for g in (f, Series([1, "1/2", -3], order=5), Series.zero(0)):
+            for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+                assert clone == g and hash(clone) == hash(g)
 
     def test_rejects_exponents_and_zero_denominators(self):
         # The rule weights follow: Fraction would build 10^200000 for the

@@ -7,6 +7,10 @@ singleton-free walker, which carries each prefix with its runs collapsed
 down the walk.  A string is connected when its collapsed form is, by the
 one-pass crossing components of ``partition._rgs_roots``, and it has no
 neighbors when no run was collapsed, that is when it is its own form.
+The plain and singleton-free walkers place the last atom in one inner
+loop over its choices, so their general step never visits a leaf: the
+plain walker gives it every value up to one past the largest before it,
+the singleton-free walker the one singleton block left, else each block.
 Walked members become partitions through ``Partition._raw``, without
 the checks of ``Partition.from_rgs``.
 
@@ -41,26 +45,37 @@ _VERDICTS_KEPT = 1 << 16
 
 def _iter_rgs_plain(n, prefix=()):
     """All restricted-growth strings of length n extending ``prefix``, in
-    lexicographic order.  Yields one shared list; callers must copy."""
+    lexicographic order.  Yields one shared list; callers must copy.
+
+    As in Knuth's Algorithm H, the last atom takes every value 0 .. max + 1
+    in one inner loop, max the largest entry before it; only then does the
+    successor search run, from atom n - 2 down.  A prefix that fixes the
+    last atom too yields only itself."""
     length = len(prefix)
     rgs = list(prefix) + [0] * (n - length)
+    floor = length if length > 0 else 1
+    if floor >= n:
+        yield rgs
+        return
     maxp = [0] * n
     m = 0
     for j in range(n):
         if rgs[j] > m:
             m = rgs[j]
         maxp[j] = m
-    floor = length if length > 0 else 1
+    last = n - 1
     while True:
-        yield rgs
-        i = n - 1
+        for v in range(maxp[last - 1] + 2):
+            rgs[last] = v
+            yield rgs
+        i = last - 1
         while i >= floor and rgs[i] > maxp[i - 1]:
             i -= 1
         if i < floor:
             return
         rgs[i] += 1
         maxp[i] = maxp[i - 1] if maxp[i - 1] >= rgs[i] else rgs[i]
-        for j in range(i + 1, n):
+        for j in range(i + 1, last):
             rgs[j] = 0
             maxp[j] = maxp[j - 1]
 
@@ -72,6 +87,12 @@ def _iter_rgs_no_singletons(n, prefix=()):
     can join at most one singleton block, so atom i may only join a
     singleton when the singletons equal the atoms left, and may not open
     a block when they are one fewer.  A pruned prefix yields nothing.
+
+    The walk places atoms 0 .. n - 2 and never the last one: once atom
+    n - 2 is placed, at most one singleton block is left, and one loop
+    yields every choice for atom n - 1.  It joins that singleton if there
+    is one, else each block in turn (only the prefix's value, where the
+    prefix fixes it).
 
     Each node of the walk keeps the collapsed form of its prefix: atom i
     adds v to it unless atom i - 1 is in block v too.  The form is itself
@@ -85,7 +106,7 @@ def _iter_rgs_no_singletons(n, prefix=()):
         return
     rgs = [-1] * n
     size = [0] * n  # atoms in each block
-    flats = [()] * (n + 1)  # flats[i + 1]: the prefix through atom i, runs collapsed
+    flats = [()] * n  # flats[i + 1]: the prefix through atom i, runs collapsed
     blocks = singles = 0
     floor = len(prefix)
     end = n - 1
@@ -126,11 +147,16 @@ def _iter_rgs_no_singletons(n, prefix=()):
                 singles -= 1
             if flat[-1] != v:  # rejoined after another block
                 flat += (v,)
-        if i == end:
-            yield rgs, flat
-        else:  # a leaf's entry is never read
+        if i + 1 < end:
             flats[i + 1] = flat
             i += 1
+            continue
+        lasts = (size.index(1),) if singles else range(blocks)
+        if floor > end:
+            lasts = [w for w in lasts if w == prefix[end]]
+        for w in lasts:
+            rgs[end] = w
+            yield rgs, (flat if w == v else flat + (w,))
 
 
 def _iter_rgs_noncrossing(n, prefix=()):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from operator import add
+from operator import add, itemgetter
 
 from .bijections import WeightAssignment, _check_weights, _keys_from_roots
 from .enumeration import _iter_rgs_no_singletons
@@ -167,7 +167,7 @@ def _singleton_free_rows(m: int):
     partition counts in d only), no-neighbor when it is also its own
     form (the form has length m), and purely crossing when moreover its
     last atom is outside atom 1's block."""
-    forms = Counter(flat for _, flat in _iter_rgs_no_singletons(m))
+    forms = Counter(map(itemgetter(1), _iter_rgs_no_singletons(m)))
     rows = defaultdict(lambda: [0, 0, 0, 0])
     for flat, strings in forms.items():
         keys, whole = _keys_from_roots(flat, _rgs_roots(flat))

@@ -193,8 +193,8 @@ def test_collapsed_form_has_the_crossing_components_and_keys_of_its_string():
             whole.append((tuple(rgs), flat))
         # Replayed from every prefix, the walks put together are the whole
         # walk, forms included; a prefix with more singletons than atoms
-        # left yields nothing.
-        for length in range(1, m):
+        # left yields nothing, and one as long as the string at most itself.
+        for length in range(1, m + 1):
             split = []
             for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
                 got = [
@@ -217,6 +217,45 @@ def test_singleton_free_walk_carries_the_collapsed_string():
             for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
                 for rgs, flat in enumeration._iter_rgs_no_singletons(m, prefix):
                     assert flat == tuple(k for k, _ in itertools.groupby(rgs)), rgs
+
+
+def test_plain_walk_from_every_prefix():
+    # Prefixes are not checked: each yields the strings of the walk that
+    # start with it, one as long as the string only itself.
+    for n in range(1, 10):
+        whole = [tuple(rgs) for rgs in enumeration._iter_rgs_plain(n)]
+        for length in range(1, n + 1):
+            split = []
+            for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
+                got = [tuple(rgs) for rgs in enumeration._iter_rgs_plain(n, prefix)]
+                assert all(rgs[:length] == prefix for rgs in got), prefix
+                if length == n:
+                    assert got == [prefix]
+                split += got
+            assert split == whole, (n, length)
+
+
+def test_short_walks_are_pinned():
+    # The edge cases of the last-atom loops: up to one atom the last atom
+    # is also the first, and up to three the loop runs after the first
+    # or second placement.
+    plain = [[tuple(rgs) for rgs in enumeration._iter_rgs_plain(n)] for n in range(4)]
+    assert plain == [
+        [()],
+        [(0,)],
+        [(0, 0), (0, 1)],
+        [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)],
+    ]
+    free = [
+        [(list(rgs), flat) for rgs, flat in enumeration._iter_rgs_no_singletons(n)]
+        for n in range(4)
+    ]
+    assert free == [
+        [([], ())],
+        [],
+        [([0, 0], (0,))],
+        [([0, 0, 0], (0,))],
+    ]
 
 
 def test_noncrossing_walk_from_every_prefix():
@@ -264,6 +303,7 @@ def test_count_is_worker_independent():
 
 def test_parallel_path_on_larger_n():
     # n = 10 goes through the chunked path even with one worker process.
+    assert count(10, PartitionClass.ALL, workers=2) == 115975
     assert count(10, PartitionClass.CONNECTED, workers=2) == 10205
     assert count(10, PartitionClass.PC_PLUS, workers=2) == 1792
     assert count(10, PartitionClass.PURELY_CROSSING, workers=2) == 1494

@@ -143,7 +143,9 @@ def _cmd_series(args) -> int:
             w = WeightAssignment.from_json(data)
         except OSError as exc:
             return _fail(f"cannot read weights file: {exc}")
-        except (ValueError, PartitionError) as exc:
+        # json.load recurses once per level of nesting, so a deeply
+        # nested file raises RecursionError: bad input, not a failure.
+        except (ValueError, PartitionError, RecursionError) as exc:
             return _fail(f"bad weights file: {exc}")
         reaching = [(pi.n, weight) for pi, weight in w.items() if pi.n <= order]
         if lcm(*(weight.denominator for _, weight in reaching)) >= 10**_SERIES_MAX_DEN_DIGITS:

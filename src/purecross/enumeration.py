@@ -7,10 +7,11 @@ singleton-free walker, which carries each prefix with its runs collapsed
 down the walk.  A string is connected when its collapsed form is, by the
 one-pass crossing components of ``partition._rgs_roots``, and it has no
 neighbors when no run was collapsed, that is when it is its own form.
-The plain and singleton-free walkers place the last atom in one inner
-loop over its choices, so their general step never visits a leaf: the
-plain walker gives it every value up to one past the largest before it,
-the singleton-free walker the one singleton block left, else each block.
+The plain and singleton-free walkers place the last two atoms in two
+nested inner loops over their choices, so their general step never
+visits the last two levels: the plain walker gives each atom every value
+up to one past the largest before it, and the singleton-free walker
+fills the at most two singleton blocks left, else joins each block.
 Walked members become partitions through ``Partition._raw``, without
 the checks of ``Partition.from_rgs``.
 
@@ -47,10 +48,13 @@ def _iter_rgs_plain(n, prefix=()):
     """All restricted-growth strings of length n extending ``prefix``, in
     lexicographic order.  Yields one shared list; callers must copy.
 
-    As in Knuth's Algorithm H, the last atom takes every value 0 .. max + 1
-    in one inner loop, max the largest entry before it; only then does the
-    successor search run, from atom n - 2 down.  A prefix that fixes the
-    last atom too yields only itself."""
+    As in Knuth's Algorithm H, the last two atoms are placed by two
+    nested loops: atom n - 2 takes every value 0 .. max + 1, max the
+    largest entry before it, and for each, atom n - 1 every value up to
+    one past the largest before it.  Only then does the successor search
+    run, from atom n - 3 down.  A prefix that fixes atom n - 2 leaves the
+    inner loop alone, and one that fixes the last atom too yields only
+    itself."""
     length = len(prefix)
     rgs = list(prefix) + [0] * (n - length)
     floor = length if length > 0 else 1
@@ -64,18 +68,27 @@ def _iter_rgs_plain(n, prefix=()):
             m = rgs[j]
         maxp[j] = m
     last = n - 1
-    while True:
-        for v in range(maxp[last - 1] + 2):
+    pen = n - 2
+    if floor > pen:
+        for v in range(maxp[pen] + 2):
             rgs[last] = v
             yield rgs
-        i = last - 1
+        return
+    while True:
+        m = maxp[pen - 1]
+        for v1 in range(m + 2):
+            rgs[pen] = v1
+            for v2 in range((m if m > v1 else v1) + 2):
+                rgs[last] = v2
+                yield rgs
+        i = pen - 1
         while i >= floor and rgs[i] > maxp[i - 1]:
             i -= 1
         if i < floor:
             return
         rgs[i] += 1
         maxp[i] = maxp[i - 1] if maxp[i - 1] >= rgs[i] else rgs[i]
-        for j in range(i + 1, last):
+        for j in range(i + 1, pen):
             rgs[j] = 0
             maxp[j] = maxp[j - 1]
 
@@ -88,11 +101,15 @@ def _iter_rgs_no_singletons(n, prefix=()):
     singleton when the singletons equal the atoms left, and may not open
     a block when they are one fewer.  A pruned prefix yields nothing.
 
-    The walk places atoms 0 .. n - 2 and never the last one: once atom
-    n - 2 is placed, at most one singleton block is left, and one loop
-    yields every choice for atom n - 1.  It joins that singleton if there
-    is one, else each block in turn (only the prefix's value, where the
-    prefix fixes it).
+    The walk places atoms 0 .. n - 3 and never the last two: once atom
+    n - 3 is placed, at most two singleton blocks are left, and two
+    nested loops yield every choice for atoms n - 2 and n - 1.  Two
+    singletons x < y take them as (x, y), then (y, x).  With one
+    singleton x, atom n - 2 joins each block in turn, and atom n - 1
+    then joins each block if atom n - 2 took x, else x.  With none, both
+    atoms join each block in turn, and last they open one together.  A
+    prefix that fixes atom n - 2 keeps the strings of its first n - 2
+    atoms' walk that it matches.
 
     Each node of the walk keeps the collapsed form of its prefix: atom i
     adds v to it unless atom i - 1 is in block v too.  The form is itself
@@ -101,62 +118,100 @@ def _iter_rgs_no_singletons(n, prefix=()):
     which repeating an entry in place does not change.  Yields (rgs,
     flat), rgs one shared list that callers must copy, flat the collapsed
     form as a tuple."""
-    if n == 0:
-        yield [], ()
+    if n < 2:
+        if n == 0:
+            yield [], ()
+        return
+    end = n - 2  # atoms 0 .. end - 1 are walked, end and end + 1 looped
+    floor = len(prefix)
+    if floor > end:
+        fixed = list(prefix[end:n])
+        for rgs, flat in _iter_rgs_no_singletons(n, prefix[:end]):
+            if rgs[end:floor] == fixed:
+                yield rgs, flat
         return
     rgs = [-1] * n
     size = [0] * n  # atoms in each block
     flats = [()] * n  # flats[i + 1]: the prefix through atom i, runs collapsed
     blocks = singles = 0
-    floor = len(prefix)
-    end = n - 1
+    flat = ()
+    v = -1  # the value of atom end - 1, none before the walk places it
     i = 0
+    last = end + 1
     while True:
-        v = rgs[i]
-        if v >= 0:  # take atom i back out of its block
-            size[v] = s = size[v] - 1
-            if s == 0:
-                blocks -= 1
-                singles -= 1
-            elif s == 1:
-                singles += 1
-            v += 1
-        elif i < floor:
-            v = prefix[i]
-        else:
-            v = 0
-        spare = n - i - singles  # atoms left, atom i included, beyond one per singleton
-        if spare == 0:
-            while v < blocks and size[v] != 1:
+        while i < end:
+            v = rgs[i]
+            if v >= 0:  # take atom i back out of its block
+                size[v] = s = size[v] - 1
+                if s == 0:
+                    blocks -= 1
+                    singles -= 1
+                elif s == 1:
+                    singles += 1
                 v += 1
-        if v > (blocks if spare > 1 else blocks - 1) or (i < floor and v != prefix[i]):
-            if i <= floor:
-                return
-            rgs[i] = -1
-            i -= 1
-            continue
-        rgs[i] = v
-        size[v] = s = size[v] + 1
-        flat = flats[i]
-        if s == 1:
-            blocks += 1
-            singles += 1
-            flat += (v,)
-        else:
-            if s == 2:
-                singles -= 1
-            if flat[-1] != v:  # rejoined after another block
+            elif i < floor:
+                v = prefix[i]
+            else:
+                v = 0
+            spare = n - i - singles  # atoms left, atom i included, beyond one per singleton
+            if spare == 0:
+                while v < blocks and size[v] != 1:
+                    v += 1
+            if v > (blocks if spare > 1 else blocks - 1) or (i < floor and v != prefix[i]):
+                if i <= floor:
+                    return
+                rgs[i] = -1
+                i -= 1
+                continue
+            rgs[i] = v
+            size[v] = s = size[v] + 1
+            flat = flats[i]
+            if s == 1:
+                blocks += 1
+                singles += 1
                 flat += (v,)
-        if i + 1 < end:
-            flats[i + 1] = flat
+            else:
+                if s == 2:
+                    singles -= 1
+                if flat[-1] != v:  # rejoined after another block
+                    flat += (v,)
             i += 1
-            continue
-        lasts = (size.index(1),) if singles else range(blocks)
-        if floor > end:
-            lasts = [w for w in lasts if w == prefix[end]]
-        for w in lasts:
-            rgs[end] = w
-            yield rgs, (flat if w == v else flat + (w,))
+            flats[i] = flat
+        # Atoms end and end + 1: w1 adds to the form unless it is atom
+        # end - 1's value v, and w2 unless it is w1.
+        if singles == 2:
+            x = size.index(1)
+            y = size.index(1, x + 1)
+            rgs[end] = x
+            rgs[last] = y
+            yield rgs, (flat if x == v else flat + (x,)) + (y,)
+            rgs[end] = y
+            rgs[last] = x
+            yield rgs, (flat if y == v else flat + (y,)) + (x,)
+        elif singles:
+            x = size.index(1)
+            for w1 in range(blocks):
+                rgs[end] = w1
+                f1 = flat if w1 == v else flat + (w1,)
+                if w1 == x:
+                    for w2 in range(blocks):
+                        rgs[last] = w2
+                        yield rgs, (f1 if w2 == w1 else f1 + (w2,))
+                else:
+                    rgs[last] = x
+                    yield rgs, f1 + (x,)
+        else:
+            for w1 in range(blocks):
+                rgs[end] = w1
+                f1 = flat if w1 == v else flat + (w1,)
+                for w2 in range(blocks):
+                    rgs[last] = w2
+                    yield rgs, (f1 if w2 == w1 else f1 + (w2,))
+            rgs[end] = rgs[last] = blocks
+            yield rgs, flat + (blocks,)
+        if end <= floor:  # no walked atom is free to move
+            return
+        i = end - 1
 
 
 def _iter_rgs_noncrossing(n, prefix=()):

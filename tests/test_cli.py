@@ -236,6 +236,12 @@ class TestSeries:
             '[{"partition": "1,3|2,4", "weight": "1/0"}]',
             '[{"partition": "1,3|2,4", "weight": "1e999999999"}]',
             '[{"partition": "1,3|2,4", "weight": "7/2"}, {"partition": "2,4|1,3", "weight": 5}]',
+            # Nested deeper than json.load recurses: exit 2, not 1 with a traceback.
+            pytest.param("[" * 100000, id="nested-100000-deep"),
+            pytest.param(
+                '[{"partition": "1,3|2,4", "weight": ' + "[" * 5000 + "]" * 5000 + "}]",
+                id="weight-nested-5000-deep",
+            ),
         ],
     )
     def test_malformed_weights_rejected(self, capsys, tmp_path, text):

@@ -194,19 +194,32 @@ def test_collapsed_form_has_the_crossing_components_and_keys_of_its_string():
         # Replayed from every prefix, the walks put together are the whole
         # walk, forms included; a prefix with more singletons than atoms
         # left yields nothing, and one as long as the string at most itself.
-        for length in range(1, m + 1):
+        # Prefixes of length m - 2 and up fix atoms of the two inner loops:
+        # atom m - 2, atom m - 1 as well, or more atoms than the string has.
+        # The walk reads no atom past the string's end, so one longer
+        # prefix per string, the one ending in 0, yields that string if it
+        # is walked.
+        forms = dict(whole)
+        for length in range(1, m + 2):
             split = []
             for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
+                if length > m and prefix[-1] != 0:
+                    continue
                 got = [
                     (tuple(rgs), flat)
                     for rgs, flat in enumeration._iter_rgs_no_singletons(m, prefix)
                 ]
+                if length > m:
+                    string = prefix[:m]
+                    assert got == ([(string, forms[string])] if string in forms else []), prefix
+                    continue
                 assert all(rgs[:length] == prefix for rgs, _ in got), prefix
                 singles = sum(1 for v in set(prefix) if prefix.count(v) == 1)
                 if singles > m - length:
                     assert got == [], prefix
                 split += got
-            assert split == whole, (m, length)
+            if length <= m:
+                assert split == whole, (m, length)
 
 
 def test_singleton_free_walk_carries_the_collapsed_string():
@@ -221,40 +234,55 @@ def test_singleton_free_walk_carries_the_collapsed_string():
 
 def test_plain_walk_from_every_prefix():
     # Prefixes are not checked: each yields the strings of the walk that
-    # start with it, one as long as the string only itself.
+    # start with it, one as long as the string, or longer, only itself.
+    # Lengths n - 2 and n - 1 fix the first atom of the two inner loops,
+    # or leave it to the walk and fix the atom before.
     for n in range(1, 10):
         whole = [tuple(rgs) for rgs in enumeration._iter_rgs_plain(n)]
-        for length in range(1, n + 1):
+        for length in range(n + 2):
             split = []
             for prefix in map(tuple, enumeration._iter_rgs_plain(length)):
                 got = [tuple(rgs) for rgs in enumeration._iter_rgs_plain(n, prefix)]
-                assert all(rgs[:length] == prefix for rgs in got), prefix
-                if length == n:
+                if length >= n:
                     assert got == [prefix]
+                else:
+                    assert all(rgs[:length] == prefix for rgs in got), prefix
                 split += got
-            assert split == whole, (n, length)
+            if length <= n:
+                assert split == whole, (n, length)
 
 
 def test_short_walks_are_pinned():
-    # The edge cases of the last-atom loops: up to one atom the last atom
-    # is also the first, and up to three the loop runs after the first
-    # or second placement.
-    plain = [[tuple(rgs) for rgs in enumeration._iter_rgs_plain(n)] for n in range(4)]
+    # The edge cases of the two inner loops: up to four atoms they place
+    # atom 0 or atom 1, with no atom walked before them at n = 2 and only
+    # atom 0 at n = 3; below two atoms there are no two to place.
+    plain = [[tuple(rgs) for rgs in enumeration._iter_rgs_plain(n)] for n in range(5)]
     assert plain == [
         [()],
         [(0,)],
         [(0, 0), (0, 1)],
         [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)],
+        [
+            (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 1, 2),
+            (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 1, 0), (0, 1, 1, 1),
+            (0, 1, 1, 2), (0, 1, 2, 0), (0, 1, 2, 1), (0, 1, 2, 2), (0, 1, 2, 3),
+        ],
     ]
     free = [
         [(list(rgs), flat) for rgs, flat in enumeration._iter_rgs_no_singletons(n)]
-        for n in range(4)
+        for n in range(5)
     ]
     assert free == [
         [([], ())],
         [],
         [([0, 0], (0,))],
         [([0, 0, 0], (0,))],
+        [
+            ([0, 0, 0, 0], (0,)),
+            ([0, 0, 1, 1], (0, 1)),
+            ([0, 1, 0, 1], (0, 1, 0, 1)),
+            ([0, 1, 1, 0], (0, 1, 0)),
+        ],
     ]
 
 

@@ -21,12 +21,13 @@ these limits.
 import argparse
 import os
 import sys
+from itertools import islice
 from math import lcm
 
 from .bijections import WeightAssignment
 from .enumeration import PartitionClass, count, iterate
 from .partition import ParseError, Partition, PartitionError
-from .pipeline import counts_table, forward_weighted
+from .pipeline import _forward, counts_table
 from .series import Series, render_text
 
 _CLASS_CHOICES = [cls.value for cls in PartitionClass]
@@ -163,8 +164,9 @@ def _cmd_series(args) -> int:
     for n, weight in reaching:
         coeffs[n] += weight - 1
     a = Series(coeffs)
-    # B, C and D come from the forward pass, which A does not need.
-    chosen = a if args.which == "A" else forward_weighted(a)["BCD".index(args.which)]
+    # B, C and D are the forward pass's steps, run only as far as the
+    # letter asked for: A takes none of them, and only D the fixpoint.
+    chosen = a if args.which == "A" else next(islice(_forward(a), "BCD".index(args.which), None))
     if args.format == "json":
         import json
 

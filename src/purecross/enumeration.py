@@ -15,13 +15,18 @@ fills the at most two singleton blocks left, else joins each block.
 Walked members become partitions through ``Partition._raw``, without
 the checks of ``Partition.from_rgs``.
 
-Counting never materializes Partition objects and can split the work over
-processes by fixed-length rgs prefixes; the result is independent of the
-worker count.
+Counting never materializes Partition objects.  One function counts
+the members below a list of rgs prefixes: it walks each prefix in turn,
+and a family that selects from the singleton-free walk sees all of
+those walks in one call of its select, so the connected family keeps
+one verdict table for the whole list.  A serial count passes it the one
+empty prefix; a count on workers deals the fixed-length prefixes out,
+one list per process.  The result is independent of the worker count.
 """
 
 import os
 from enum import Enum
+from itertools import accumulate
 
 from .partition import Partition, _integer, _rgs_roots
 
@@ -39,8 +44,9 @@ class PartitionClass(Enum):
 # Below this size the work does not justify spawning processes.
 _PARALLEL_MIN_N = 8
 _PREFIX_LEN = 6
-# The most co verdicts one walk keeps, one per collapsed form with
-# neighbors: all 53,385 forms at n = 12, and a bounded table beyond.
+# The most co verdicts one count of a prefix list keeps, one per
+# collapsed form with neighbors: all 53,385 forms at n = 12, and a
+# bounded table beyond.
 _VERDICTS_KEPT = 1 << 16
 
 
@@ -61,12 +67,7 @@ def _iter_rgs_plain(n, prefix=()):
     if floor >= n:
         yield rgs
         return
-    maxp = [0] * n
-    m = 0
-    for j in range(n):
-        if rgs[j] > m:
-            m = rgs[j]
-        maxp[j] = m
+    maxp = list(accumulate(rgs, max))  # maxp[j]: the largest of atoms 0 .. j
     last = n - 1
     pen = n - 2
     if floor > pen:
@@ -246,44 +247,49 @@ def _nc_extend(rgs, i, n, stack, blocks):
     yield from _nc_extend(rgs, i + 1, n, stack + [blocks], blocks + 1)
 
 
-def _connected(walked, n):
+def _connected(walks, n):
     # A string is connected when its collapsed form is one crossing
     # component.  A string without neighbors is its own form; the rest
-    # share forms, so their verdicts are kept, one per form, until
-    # _VERDICTS_KEPT of them fill the table and it starts over.
+    # share forms, so their verdicts are kept, one per form, for all of
+    # the walks, until _VERDICTS_KEPT of them fill the table and it
+    # starts over.
     verdicts = {}
-    for rgs, flat in walked:
-        if len(flat) == n:
-            if not any(_rgs_roots(flat)):
-                yield rgs
-        else:
-            whole = verdicts.get(flat)
-            if whole is None:
-                if len(verdicts) == _VERDICTS_KEPT:
-                    verdicts.clear()
-                whole = verdicts[flat] = not any(_rgs_roots(flat))
-            if whole:
-                yield rgs
+    for walked in walks:
+        for rgs, flat in walked:
+            if len(flat) == n:
+                if not any(_rgs_roots(flat)):
+                    yield rgs
+            else:
+                whole = verdicts.get(flat)
+                if whole is None:
+                    if len(verdicts) == _VERDICTS_KEPT:
+                        verdicts.clear()
+                    whole = verdicts[flat] = not any(_rgs_roots(flat))
+                if whole:
+                    yield rgs
 
 
-def _pc_plus(walked, n):
+def _pc_plus(walks, n):
     # No run of one block is longer than an atom: no two neighbors share
     # a block, so the string is its own collapsed form.
-    for rgs, flat in walked:
-        if len(flat) == n and not any(_rgs_roots(flat)):
-            yield rgs
+    for walked in walks:
+        for rgs, flat in walked:
+            if len(flat) == n and not any(_rgs_roots(flat)):
+                yield rgs
 
 
-def _purely_crossing(walked, n):
-    for rgs, flat in walked:
-        if len(flat) == n and flat[-1] != 0 and not any(_rgs_roots(flat)):
-            yield rgs
+def _purely_crossing(walks, n):
+    for walked in walks:
+        for rgs, flat in walked:
+            if len(flat) == n and flat[-1] != 0 and not any(_rgs_roots(flat)):
+                yield rgs
 
 
 # Each family as (walker, select): the walker streams candidate strings in
 # lexicographic order, all members if select is None; else it is the
-# singleton-free walk, and select(walked, n) streams the members among
-# its (rgs, flat).
+# singleton-free walk, and select(walks, n) streams the members among
+# the (rgs, flat) of each walk in turn.  The selects loop over the walks
+# themselves: itertools.chain of the walks cost a few percent per string.
 _FAMILIES = {
     PartitionClass.ALL: (_iter_rgs_plain, None),
     PartitionClass.NONCROSSING: (_iter_rgs_noncrossing, None),
@@ -293,31 +299,30 @@ _FAMILIES = {
 }
 
 
-def _members(n, cls, prefix=()):
+def _members(n, cls, prefixes):
+    # Streams of members, in turn: the walk of each prefix, or the one
+    # stream the family's select makes of all of them.
     walk, select = _FAMILIES[cls]
+    walks = (walk(n, prefix) for prefix in prefixes)
     if select is None:
-        return walk(n, prefix)
+        return walks
     # The single atom is a singleton block, and its own collapsed form.
-    return select(walk(n, prefix) if n > 1 else [([0], (0,))], n)
+    return [select(walks if n > 1 else [[([0], (0,))]], n)]
 
 
-def _count_serial(n, cls, prefix=()):
+def _count(n, cls, prefixes):
     total = 0
-    for _ in _members(n, cls, prefix):
-        total += 1
+    for members in _members(n, cls, prefixes):
+        for _ in members:
+            total += 1
     return total
-
-
-def _count_chunk(args):
-    n, cls_value, prefixes = args
-    cls = PartitionClass(cls_value)
-    return sum(_count_serial(n, cls, prefix) for prefix in prefixes)
 
 
 def iterate(n, cls=PartitionClass.ALL):
     """Yield the members of the family in lexicographic rgs order."""
     _integer(n, "n", 1)
-    return (Partition._raw(tuple(rgs)) for rgs in _members(n, PartitionClass(cls)))
+    streams = _members(n, PartitionClass(cls), [()])
+    return (Partition._raw(tuple(rgs)) for members in streams for rgs in members)
 
 
 def _usable_cpus():
@@ -330,27 +335,28 @@ def _usable_cpus():
 def count(n, cls=PartitionClass.ALL, workers=1):
     """Exact family size, by enumeration.
 
-    With ``workers > 1`` the rgs tree is split at a fixed prefix depth and
-    the subtrees are counted in separate processes, at most one per CPU
-    this process may run on; the total does not depend on the worker
-    count.
+    One function counts the members below a list of rgs prefixes, all
+    through one call of the family's select.  Serially that list is the
+    one empty prefix.  With ``workers > 1`` and
+    n >= 8, the tree's prefixes of a fixed length are dealt out into one
+    list per process, at most one process per CPU this process may run
+    on, and each process counts its list the same way; the total does not
+    depend on the worker count.
     """
     _integer(n, "n", 1)
     _integer(workers, "workers", 1)
     cls = PartitionClass(cls)
     workers = min(workers, _usable_cpus())
     if workers == 1 or n < _PARALLEL_MIN_N:
-        return _count_serial(n, cls)
-    prefixes = [tuple(p) for p in _iter_rgs_plain(min(_PREFIX_LEN, n - 2))]
-    chunks = [prefixes[w::workers] for w in range(workers)]
-    chunks = [c for c in chunks if c]
+        return _count(n, cls, [()])
+    prefixes = [tuple(p) for p in _iter_rgs_plain(_PREFIX_LEN)]
+    chunks = [prefixes[w::workers] for w in range(min(workers, len(prefixes)))]
     # Imported here: a serial count, and every other subcommand, should
     # not pay for loading multiprocessing.
     from multiprocessing import Pool
 
     with Pool(processes=len(chunks)) as pool:
-        parts = pool.map(_count_chunk, [(n, cls.value, chunk) for chunk in chunks])
-    return sum(parts)
+        return sum(pool.starmap(_count, [(n, cls, chunk) for chunk in chunks]))
 
 
 def orbit_size(pi: Partition) -> int:

@@ -130,19 +130,26 @@ def derive_a_from_b(b: Series) -> Series:
     return Series(_difference_row(b.coeffs))
 
 
-def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
-    """From a weight series A, produce (B, C, D) at the same order.
-    B = x + (1 + x) A is the running sum b_n = a_n + a_(n-1) + [n = 1],
-    the mirror of :func:`derive_a_from_b`, O(m)."""
+def _forward(a: Series):
+    """Yield B, C and D from a weight series A, at the same order, one
+    step per item, so a caller that stops at B or C never pays for D's
+    fixpoint.  B = x + (1 + x) A is the running sum b_n = a_n + a_(n-1)
+    + [n = 1], the mirror of :func:`derive_a_from_b`, O(m)."""
     if a[0] != 0:
         raise ValueError("constant term must be 0")
     if a.order < 1:
         raise ValueError("need order >= 1")
-    coeffs = a.coeffs
-    b = Series([_ZERO, coeffs[1] + 1, *map(add, coeffs[2:], coeffs[1:])])
+    b = Series([_ZERO, a.coeffs[1] + 1, *map(add, a.coeffs[2:], a.coeffs[1:])])
+    yield b
     c = _binomial(b, 1)
-    d = solve_fixpoint(c)
-    return b, c, d
+    yield c
+    yield solve_fixpoint(c)
+
+
+def forward_weighted(a: Series) -> tuple[Series, Series, Series]:
+    """From a weight series A, produce (B, C, D) at the same order: every
+    step of :func:`_forward`."""
+    return tuple(_forward(a))
 
 
 # Walks of singleton-free strings of this many lengths are kept, the

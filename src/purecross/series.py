@@ -202,7 +202,7 @@ class Series(_Record):
             raise ValueError("reversion needs a zero constant term")
         if self.order < 1 or c[1] == 0:
             raise ValueError("reversion needs a nonzero linear coefficient")
-        return Series([_ZERO] + _lagrange(self.shift_down(), self.order, -1))
+        return Series([_ZERO] + _lagrange(c[1:], -1))
 
 
 def _integral(coeffs) -> tuple[list, int]:
@@ -249,20 +249,21 @@ def _exact(num: int, den: int) -> int:
     return quotient
 
 
-def _lagrange(psi: Series, count: int, sign: int) -> list:
-    """[w^n] G for n = 1 .. count, where G = x * psi(G)^sign, sign = +-1.
+def _lagrange(psi, sign: int) -> list:
+    """[w^n] G for n = 1 .. count, where G = x * psi(G)^sign, sign = +-1,
+    and psi is given by its coefficient row psi_0 .. psi_(count - 1).
     By Lagrange inversion, [w^n] G = [t^(n-1)] psi(t)^(sign n) / n, and
     each power is one :func:`_power` call: O(count^3) in all.
 
     With psi = a * phi and f = phi(L t) from :func:`_monic`, every
     [t^(n-1)] f^(sign n) / n is an integer, divided exactly and checked;
-    the result is a^(sign n) times that over L^(n-1).  ``psi`` needs
-    psi_0 != 0 and terms through t^(count - 1).
+    the result is a^(sign n) times that over L^(n-1).  The row needs
+    psi_0 != 0.
     """
-    f, scale, a = _monic(psi.coeffs[:count])
+    f, scale, a = _monic(psi)
     lead = a**sign
     out = []
-    for n in range(1, count + 1):
+    for n in range(1, len(psi) + 1):
         total = _exact(_power(f, sign * n, n)[n - 1], n)
         out.append(Fraction(lead.numerator**n * total, lead.denominator**n * scale ** (n - 1)))
     return out
@@ -278,7 +279,7 @@ def solve_fixpoint(c: Series) -> Series:
         raise TypeError("solve_fixpoint expects a Series")
     if c.coeffs[0] != 0:
         raise ValueError("the composed series must have zero constant term")
-    return Series(_lagrange(c + 1, c.order + 1, 1))
+    return Series(_lagrange([c.coeffs[0] + 1, *c.coeffs[1:]], 1))  # the row of 1 + c
 
 
 def render_text(f: Series) -> str:

@@ -262,11 +262,32 @@ class TestSeries:
         expected = [invoke(capsys, *argv) for argv in calls]
         assert [code for code, _, _ in expected] == [0, 0]
 
-        def forward_weighted(a):
+        def forward(a):
             raise AssertionError("series --which A ran the forward pass")
 
-        monkeypatch.setattr(cli_module, "forward_weighted", forward_weighted)
+        monkeypatch.setattr(cli_module, "_forward", forward)
         assert [invoke(capsys, *argv) for argv in calls] == expected
+
+    def test_which_a_b_c_skip_the_fixpoint(self, capsys, monkeypatch, tmp_path):
+        # Only D needs the fixpoint D = 1 + C(x D); the other letters stop
+        # the forward pass before it, with the same output.
+        path = tmp_path / "weights.json"
+        path.write_text('[{"partition": "1,3|2,4", "weight": "7/2"}]', encoding="utf-8")
+        calls = [
+            ("series", "--which", which, "--order", "12", *extra)
+            for which in "ABC"
+            for extra in ((), ("--weights", str(path)))
+        ]
+        expected = [invoke(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in expected] == [0] * 6
+
+        def solve_fixpoint(c):
+            raise AssertionError("series --which A, B or C solved the fixpoint")
+
+        monkeypatch.setattr(pipeline_module, "solve_fixpoint", solve_fixpoint)
+        assert [invoke(capsys, *argv) for argv in calls] == expected
+        with pytest.raises(AssertionError, match="solved the fixpoint"):
+            invoke(capsys, "series", "--which", "D", "--order", "12")
 
     def test_bad_order(self, capsys):
         assert invoke(capsys, "series", "--which", "A", "--order", "0")[0] == 2

@@ -353,8 +353,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def starmap(self, fn, items):
+        return [fn(*item) for item in items]
 
 
 @pytest.mark.parametrize("affinity", [True, False])
@@ -374,6 +374,39 @@ def test_worker_count_is_capped_by_usable_cpus(monkeypatch, affinity):
         assert count(9, cls, workers=500) == reference
         assert count(9, cls, workers=2) == reference
     assert _InlinePool.requested == [3, 2] * len(CLASSES)
+
+
+def test_co_classifies_each_form_once_per_chunk(monkeypatch):
+    # A serial count is the one-chunk case of the parallel count: one
+    # counting function walks the prefixes of its chunk as one stream
+    # through one verdict table, so each collapsed form the chunk meets
+    # gets one cover pass, not one per prefix that reaches it.
+    n = 10
+    chunks = []  # per call of the counting function: (prefixes, forms passed)
+    counted = enumeration._count
+
+    def count_chunk(n, cls, prefixes):
+        chunks.append((prefixes, []))
+        return counted(n, cls, prefixes)
+
+    def roots(flat):
+        chunks[-1][1].append(flat)
+        return _rgs_roots(flat)
+
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(enumeration, "_count", count_chunk)
+    monkeypatch.setattr(enumeration, "_rgs_roots", roots)
+    co = PartitionClass.CONNECTED
+    assert count(n, co) == count(n, co, workers=2) == PUBLISHED_COUNTS[n][2]
+    assert [len(prefixes) for prefixes, _ in chunks] == [1, 102, 101]
+    for prefixes, passed in chunks:
+        met = {
+            flat
+            for prefix in prefixes
+            for _, flat in enumeration._iter_rgs_no_singletons(n, prefix)
+        }
+        assert len(passed) == len(met) and set(passed) == met
 
 
 def test_importing_the_package_does_not_load_multiprocessing():

@@ -32,7 +32,7 @@ adjoining atom n to the block of atom 1; a connected partition reads the
 weight of its contracted base; an arbitrary partition multiplies the
 weights of its cover pieces, the empty partition weighing 1.  All three
 rules come down to one list of purely crossing keys per partition, read
-off its collapsed form by one kernel, ``_keys_from_roots``, which also
+off its collapsed form by one kernel, ``_keys_of_form``, which also
 classifies the forms of ``pipeline.weighted_brute_coeffs``; an
 assignment scales its weights to integers by ``series._integral``, the
 series' own rational scaling.
@@ -338,15 +338,15 @@ def _weight_keys(rgs) -> tuple[tuple[tuple[int, ...], ...], bool]:
     an rgs tuple; and whether its noncrossing cover is one block.  A run
     of one block changes neither, so they are read off the collapsed
     form, the string with each run cut to one entry."""
-    flat = tuple([v for v, _ in groupby(rgs)])
-    return _keys_from_roots(flat, _rgs_roots(flat))
+    return _keys_of_form(tuple([v for v, _ in groupby(rgs)]))
 
 
-def _keys_from_roots(flat, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
+def _keys_of_form(flat) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """:func:`_weight_keys` of the collapsed form ``flat``, an rgs tuple
-    with no run of one block, given the root of each block: the first
-    block of the cover block that holds it.  It is the one key kernel,
-    for single partitions and for the forms of the brute rows alike.
+    with no run of one block, from one :func:`_rgs_roots` pass, which
+    gives each block its root: the first block of the cover block that
+    holds it.  It is the one key kernel, for single partitions and for
+    the forms of the brute rows alike.
 
     Per cover block this is :func:`cover_decompose`, :func:`contract` and
     :func:`pc_plus_decompose` read off the rgs: take the values at the
@@ -359,6 +359,7 @@ def _keys_from_roots(flat, root) -> tuple[tuple[tuple[int, ...], ...], bool]:
     earlier blocks with the same root, since blocks are numbered in
     order of first appearance.
     """
+    root = _rgs_roots(flat)
     if not any(root):  # the form is its own piece
         key = flat[:-1] if flat[-1:] == (0,) else flat  # the single atom and () leave ()
         return ((key,) if key else ()), True

@@ -423,61 +423,68 @@ _set_rgs = Partition.rgs.__set__
 # collapsed forms, the connected families of enumeration and the brute
 # rows of pipeline.  Through Partition, _rgs_noncrossing and
 # _rgs_connected are the independent references that verify and the
-# tests check the enumeration walkers against.
+# tests check the enumeration walkers and the cover against, so each is
+# one linear pass of its own: neither calls _rgs_roots, groups blocks
+# into crossing components or keeps the walkers' stack of blocks.
+# _rgs_noncrossing nests the arcs of the arc diagram, and _rgs_connected
+# looks for the definition's closed interval itself; verify's check
+# that a partition is connected iff its cover is one block then
+# compares two computations, not one with itself.
 
 
 def _rgs_noncrossing(rgs) -> bool:
-    """Stack check on the arc diagram joining consecutive atoms of a block."""
+    """Stack check on the arc diagram joining consecutive atoms of a
+    block: each atom pushes the next atom of its block, and an arc is
+    popped at its end only if no arc opened inside it is still open.
+    The arcs nest, so no two blocks cross, exactly when every arc is
+    popped."""
     n = len(rgs)
     nxt = [-1] * n
-    seen: dict[int, int] = {}
+    later = [-1] * n  # per block: the atom met last, right to left
     for i in range(n - 1, -1, -1):
         b = rgs[i]
-        nxt[i] = seen.get(b, -1)
-        seen[b] = i
+        nxt[i] = later[b]
+        later[b] = i
     stack: list[int] = []
-    closed = set()
     for i in range(n):
-        if rgs[i] in closed:
-            if not stack or stack[-1] != i:
-                return False
+        if stack and stack[-1] == i:
             stack.pop()
-        if nxt[i] != -1:
+        if nxt[i] >= 0:
             stack.append(nxt[i])
-            closed.add(rgs[i])
-    return True
+    return not stack
 
 
 def _rgs_connected(rgs) -> bool:
-    """Scan for a proper subinterval that is a union of blocks."""
+    """Look for a proper subinterval that is a union of blocks, right to
+    left.  The atoms right of atom a are tiled by intervals, the leftmost
+    on top of the stack, each kept as (end, low): it is the least
+    interval from its start that holds the last atom of every block it
+    meets, and low is the least first atom of those blocks.  Atom a
+    starts [a, last atom of its block] and merges every interval that
+    starts inside it; the result is the least such interval from a, and
+    it is a union of blocks exactly when low is a.  Each atom is pushed
+    once and popped at most once."""
     n = len(rgs)
-    if n <= 1:
-        return True
     first = [-1] * n  # per block: a string of n atoms has at most n blocks
     last = [0] * n
-    for i in range(n):
-        b = rgs[i]
+    for i, b in enumerate(rgs):
         if first[b] < 0:
             first[b] = i
         last[b] = i
-    for a in range(n):
-        if first[rgs[a]] != a:
-            continue
-        # Grow the interval starting at a until it is block-closed or leaks.
-        b = last[rgs[a]]
-        i = a + 1
-        ok = True
-        while i <= b:
-            v = rgs[i]
-            if first[v] < a:
-                ok = False
-                break
-            lv = last[v]
-            if lv > b:
-                b = lv
-            i += 1
-        if ok and b - a + 1 < n:
+    stack: list[tuple[int, int]] = []
+    for a in range(n - 1, -1, -1):
+        b = rgs[a]
+        end, low = last[b], first[b]
+        reach = a  # the intervals merged so far tile a + 1 .. reach
+        while end > reach:
+            reach, f = stack.pop()
+            if reach > end:
+                end = reach
+            if f < low:
+                low = f
+        if low == a and end - a < n - 1:
             return False
+        stack.append((end, low))
     return True
 
 

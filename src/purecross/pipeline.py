@@ -27,9 +27,9 @@ from itertools import accumulate
 from math import comb
 from operator import add, itemgetter
 
-from .bijections import WeightAssignment, _check_weights, _keys_from_roots
+from .bijections import WeightAssignment, _check_weights, _keys_of_form
 from .enumeration import _iter_rgs_no_singletons
-from .partition import _integer, _Record, _rgs_roots
+from .partition import _integer, _Record
 from .series import Series, _integral, _monic, _mul, solve_fixpoint
 
 _ZERO = Fraction(0)
@@ -168,7 +168,7 @@ def _singleton_free_rows(m: int):
     components and keys are those of the string, so each form is
     classified once (lengths 0 to 9 have 4,361 strings and 1,174 forms).
 
-    Every form goes through :func:`_keys_from_roots`, the key kernel of
+    Every form goes through :func:`_keys_of_form`, the key kernel of
     single partitions, and the family flags are read off its answer and
     the form: a string is connected when the cover is whole (the empty
     partition counts in d only), no-neighbor when it is also its own
@@ -177,7 +177,7 @@ def _singleton_free_rows(m: int):
     forms = Counter(map(itemgetter(1), _iter_rgs_no_singletons(m)))
     rows = defaultdict(lambda: [0, 0, 0, 0])
     for flat, strings in forms.items():
-        keys, whole = _keys_from_roots(flat, _rgs_roots(flat))
+        keys, whole = _keys_of_form(flat)
         row = rows[keys]
         row[3] += strings
         if whole and flat:

@@ -716,6 +716,43 @@ def test_console_script_reads_sys_argv(capsys):
     assert proc.stderr.splitlines()[-1] == "purecross: error: unrecognized arguments: extra"
 
 
+def _all_crossing_text(k):
+    """1,k+1|2,k+2|...|k,2k: every block crosses every other."""
+    return "|".join(f"{i},{k + i}" for i in range(1, k + 1))
+
+
+def test_classify_all_crossing_text_in_linear_time():
+    # 8,000 crossing blocks, 85 KB of text; a connectivity scan that
+    # restarts at each block took about 7 s on it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "purecross.cli", "classify", _all_crossing_text(8000)],
+        capture_output=True,
+        timeout=5,
+        check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == "aa2ecbe757b8d72c20b4e512e32c4166767ae94746e311c92e2877ec12f89735"
+
+
+def test_weights_file_of_all_crossing_partition_in_linear_time(tmp_path):
+    # 20,000 crossing blocks, a 229 KB file: reading it checks the
+    # partition is purely crossing, which took about 15 s with that scan.
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps([{"partition": _all_crossing_text(20000), "weight": "2"}]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "purecross.cli", "series", "--which", "A", "--order", "4",
+         "--weights", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "0 + 0*x + 0*x^2 + 0*x^3 + 1*x^4\n", ""
+    )
+
+
 def test_verify_is_imported_on_first_use():
     # The package and its CLI load without the invariant suite, and
     # run_checks still resolves as an attribute and through both imports.

@@ -25,7 +25,7 @@ from purecross import (
     run_checks,
     weighted_brute_coeffs,
 )
-from purecross.bijections import _keys_from_roots, _weight_keys
+from purecross.bijections import _keys_of_form, _weight_keys
 from purecross.partition import _rgs_roots
 
 from oracles import (
@@ -187,9 +187,8 @@ def test_collapsed_form_has_the_crossing_components_and_keys_of_its_string():
     for m in range(11):
         whole = []
         for rgs, flat in enumeration._iter_rgs_no_singletons(m):
-            root = _rgs_roots(flat)
-            assert root == _rgs_roots(rgs), rgs
-            assert _keys_from_roots(flat, root) == _weight_keys.__wrapped__(rgs), rgs
+            assert _rgs_roots(flat) == _rgs_roots(rgs), rgs
+            assert _keys_of_form(flat) == _weight_keys.__wrapped__(rgs), rgs
             whole.append((tuple(rgs), flat))
         # Replayed from every prefix, the walks put together are the whole
         # walk, forms included; a prefix with more singletons than atoms

@@ -5,10 +5,11 @@ import hashlib
 import json
 import pickle
 import random
+import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from purecross import ParseError, Partition, PartitionError, iterate
 from purecross.partition import _scan
@@ -43,6 +44,28 @@ def partitions(draw, max_n=8):
         rgs.append(value)
         top = max(top, value)
     return Partition.from_rgs(rgs)
+
+
+@st.composite
+def restricted_growth_strings(draw, max_n=16):
+    """Restricted-growth strings of up to ``max_n`` atoms, of three
+    shapes: random growth, singletons with a few atoms merged, and one
+    block."""
+    n = draw(st.integers(0, max_n))
+    shape = draw(st.sampled_from(["random", "singletons", "one block"]))
+    if shape == "one block":
+        return (0,) * n
+    if shape == "random":
+        labels = [0]
+        for value in draw(st.lists(st.integers(0, max_n), min_size=n, max_size=n))[1:]:
+            labels.append(value % (max(labels) + 2))
+        return tuple(labels[:n])
+    labels = list(range(n))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, max_n), st.integers(0, max_n)), max_size=3)):
+        if i < n and j < n:
+            labels[i] = labels[j]
+    rank = {}
+    return tuple(rank.setdefault(v, len(rank)) for v in labels)
 
 
 class TestConstruction:
@@ -363,7 +386,7 @@ class TestPredicates:
         assert Partition.empty().is_noncrossing()
 
     def test_noncrossing_against_oracle(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             for blocks in all_partitions_brute(n):
                 assert Partition(n, blocks).is_noncrossing() == is_noncrossing_brute(
                     blocks, n
@@ -394,11 +417,37 @@ class TestPredicates:
         assert not Partition.parse("1,3|2|4").is_connected()
 
     def test_connected_against_oracle(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             for blocks in all_partitions_brute(n):
                 assert Partition(n, blocks).is_connected() == is_connected_brute(
                     blocks, n
                 ), blocks
+
+    @settings(max_examples=400)
+    @given(restricted_growth_strings())
+    def test_kernels_against_oracle_on_longer_strings(self, rgs):
+        n = len(rgs)
+        blocks = [[a for a in range(1, n + 1) if rgs[a - 1] == b] for b in set(rgs)]
+        pi = Partition.from_rgs(rgs)
+        assert pi.is_noncrossing() == is_noncrossing_brute(blocks, n)
+        assert pi.is_connected() == is_connected_brute(blocks, n)
+
+    def test_all_crossing_shape_is_linear(self):
+        # 1,k+1|2,k+2|...|k,2k: every block crosses every other, the worst
+        # case of a scan that restarts at each block.
+        k = 20000
+        pi = Partition.from_rgs(tuple(range(k)) * 2)
+        start = time.perf_counter()
+        verdicts = pi.is_connected(), pi.is_noncrossing(), pi.is_purely_crossing()
+        assert verdicts == (True, False, True)
+        assert time.perf_counter() - start < 2
+
+    def test_fully_nested_shape(self):
+        # 1,2k|2,2k-1|...|k,k+1: k arcs open at once, each inside the last.
+        for k in (1, 2, 3, 20000):
+            pi = Partition.from_rgs(tuple(range(k)) + tuple(reversed(range(k))))
+            assert pi.is_noncrossing()
+            assert pi.is_connected() == (k == 1)
 
     def test_no_neighbor_connected_examples(self):
         assert Partition.whole(1).is_pc_plus()

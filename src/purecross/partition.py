@@ -297,6 +297,8 @@ class Partition(_Record):
             blocks = obj["blocks"]
         except (TypeError, KeyError) as exc:
             raise PartitionError(f"partition JSON needs 'n' and 'blocks': {obj!r}") from exc
+        if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
+            raise PartitionError(f"partition JSON 'blocks' must be a list of lists: {blocks!r}")
         return cls(n, blocks)
 
     def to_json(self) -> dict:

@@ -9,7 +9,7 @@ deeper bounds.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count as count_from
 from math import comb
 
 from .bijections import (
@@ -44,12 +44,16 @@ def _subsets(n):
         yield from combinations(atoms, size)
 
 
-def _random_weights(rnd, max_support):
-    support = {}
-    for n in range(4, max_support + 1):
-        for pi in iterate(n, PartitionClass.PURELY_CROSSING):
-            support[pi] = Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
-    return WeightAssignment(support)
+def _support(depth):
+    """The purely crossing partitions of 4 .. depth atoms, in stream order:
+    every key of a partition of at most depth atoms."""
+    return [pi for n in range(4, depth + 1) for pi in iterate(n, PartitionClass.PURELY_CROSSING)]
+
+
+def _random_weights(rnd, support):
+    return WeightAssignment(
+        {pi: Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for pi in support}
+    )
 
 
 def _random_series(rnd, order):
@@ -217,14 +221,17 @@ def check_gap_roundtrip(ctx):
 
 
 def check_weight_multiplicativity(ctx):
-    rnd = random.Random(ctx.seed)
+    # A weight is the product of the weights of its keys, so it is
+    # multiplicative under every assignment iff keys(pi) is keys(core)
+    # plus keys(gaps) as multisets.  One assignment settles that: each key
+    # weighs its own odd prime over 2, so a weight is a reduced fraction
+    # whose numerator factors into the primes of its keys.
     depth = min(ctx.max_n, 8)
-    decs = [
-        (pi, gap_decompose(pi)) for n in range(1, depth + 1) for pi in iterate(n)
-    ]
-    for _ in range(ctx.trials):
-        w = _random_weights(rnd, max_support=depth)
-        for pi, dec in decs:
+    odd_primes = (p for p in count_from(3, 2) if all(p % q for q in range(3, p, 2)))
+    w = WeightAssignment(zip(_support(depth), (Fraction(p, 2) for p in odd_primes)))
+    for n in range(1, depth + 1):
+        for pi in iterate(n):
+            dec = gap_decompose(pi)
             expected = connected_weight(dec.core, w)
             for gap in dec.gaps:
                 expected *= partition_weight(gap, w)
@@ -236,8 +243,9 @@ def check_weight_multiplicativity(ctx):
 def check_weighted_series_identities(ctx):
     rnd = random.Random(ctx.seed + 1)
     depth = min(ctx.max_n, 9)
+    support = _support(min(depth, 8))
     for _ in range(ctx.trials):
-        w = _random_weights(rnd, max_support=min(depth, 8))
+        w = _random_weights(rnd, support)
         brute = [weighted_brute_coeffs(n, w) for n in range(1, depth + 1)]
         a = Series([0] + [v[0] for v in brute])
         b, c, d = forward_weighted(a)

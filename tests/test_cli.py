@@ -321,6 +321,13 @@ def _derived_product(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", mul)
 
 
+def _squared_weight(monkeypatch):
+    # A keyless partition still weighs 1; 1,3|2,4 is the first with a
+    # key, its own core with no gaps.
+    true_weight = verify_module.partition_weight
+    monkeypatch.setattr(verify_module, "partition_weight", lambda pi, w: true_weight(pi, w) ** 2)
+
+
 def _skewed_compose(monkeypatch):
     # f(g) + g, which is not associative.
     true_compose = Series.compose
@@ -331,8 +338,13 @@ def _skewed_compose(monkeypatch):
 # that returns its input fails on.
 _FIRST_REVERSED = verify_module._random_series(random.Random(2), 30)
 
-# (check name, a wrong series function, the exact message it gets).
+# (check name, a wrong series or weight function, the exact message it gets).
 SERIES_FAILURES = [
+    (
+        "weights multiplicative over gap decomposition",
+        _squared_weight,
+        "gap multiplicativity broke at 1,3|2,4",
+    ),
     (
         "weighted series identities match brute sums",
         _zero_forward,
@@ -379,6 +391,38 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--max-n", "4", "--weighted-trials", "1")
         assert code == 1
         assert f"FAIL {name}: {message}" in out.splitlines()
+
+    def test_gap_check_ignores_trials_and_seed(self, monkeypatch):
+        # One exact assignment covers every random one, so the work is
+        # the same whatever the trials and seed.
+        calls = []
+        true_weight = verify_module.partition_weight
+
+        def partition_weight(pi, w):
+            calls.append(pi)
+            return true_weight(pi, w)
+
+        monkeypatch.setattr(verify_module, "partition_weight", partition_weight)
+        seen = set()
+        for trials, seed in ((1, 0), (3, 0), (1, 7), (3, 7)):
+            calls.clear()
+            ctx = verify_module.VerifyContext(max_n=6, trials=trials, seed=seed)
+            assert verify_module.check_weight_multiplicativity(ctx) is None
+            seen.add(len(calls))
+        assert seen == {1067}
+
+    def test_series_check_weights_are_pinned(self):
+        # The first assignment the series check draws at seed 0, from the
+        # support listed once for all its trials.
+        w = verify_module._random_weights(random.Random(1), verify_module._support(8))
+        assert w.items()[:3] == [
+            (Partition.parse("1,3|2,4"), Fraction(-5, 2)),
+            (Partition.parse("1,3,5|2,4,6"), Fraction(-1, 2)),
+            (Partition.parse("1,3|2,5|4,6"), Fraction(3, 4)),
+        ]
+        assert hashlib.sha256(repr(w.items()).encode()).hexdigest() == (
+            "a357df316040e51c53a32fb1b6ded612443285106e675e3e69b6b12e88270bba"
+        )
 
     def test_table_check_reports_a_miscount(self, monkeypatch):
         _miscount(monkeypatch)

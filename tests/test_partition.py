@@ -329,6 +329,16 @@ class TestTextForms:
                 payload = json.loads(json.dumps(pi.to_json()))
                 assert Partition.from_json(payload) == pi
 
+    def test_malformed_json_is_a_partition_error(self):
+        # A malformed payload is a PartitionError, whatever its shape, not
+        # the TypeError of iterating a number or None.
+        for obj in ([1, 2], {"n": 2}):
+            with pytest.raises(PartitionError, match="needs 'n' and 'blocks'"):
+                Partition.from_json(obj)
+        for blocks in (5, [1, 2], None):
+            with pytest.raises(PartitionError, match="must be a list of lists"):
+                Partition.from_json({"n": 2, "blocks": blocks})
+
     @given(partitions())
     def test_text_roundtrip_random(self, pi):
         assert Partition.parse(pi.text()) == pi
